@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Performance benchmark runner: build an optimized tree, run the simulator
 # throughput benches, and emit the committed machine-readable record
-# BENCH_fastforward.json (engine cycles/sec, parallel scaling, and the
-# fast-forward on/off speedup).
+# BENCH_fastforward.json (engine cycles/sec and the fast-forward on/off
+# speedup).
 #
 # Usage:
 #   scripts/run_benches.sh                 # writes BENCH_fastforward.json,
@@ -43,7 +43,7 @@ command -v ninja >/dev/null && GEN=(-G Ninja)
 echo "== configure & build ($BUILD, Release) =="
 cmake -B "$BUILD" "${GEN[@]}" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD" --target \
-  bench_sim_speed bench_parallel_speedup bench_fast_forward bench_link_retry \
+  bench_sim_speed bench_fast_forward bench_link_retry \
   bench_profile_overhead bench_checkpoint bench_backend bench_chaos
 
 tmp=$(mktemp -d)
@@ -72,21 +72,14 @@ echo "== bench_sim_speed =="
   --benchmark_out="$tmp/sim_speed.json" --benchmark_out_format=json \
   --benchmark_format=console
 
-echo "== bench_parallel_speedup =="
-"$BUILD"/bench/bench_parallel_speedup \
-  --benchmark_out="$tmp/parallel.json" --benchmark_out_format=json \
-  --benchmark_format=console
-
 jq -n \
   --slurpfile ff "$tmp/fast_forward.json" \
-  --slurpfile ss "$tmp/sim_speed.json" \
-  --slurpfile ps "$tmp/parallel.json" '
+  --slurpfile ss "$tmp/sim_speed.json" '
   {
     generated_by: "scripts/run_benches.sh",
     build_type: "Release",
     fast_forward: $ff[0],
-    sim_speed: $ss[0],
-    parallel_speedup: $ps[0]
+    sim_speed: $ss[0]
   }' > "$OUT"
 
 sparse=$(jq -r '.fast_forward.workloads[]

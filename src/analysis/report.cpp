@@ -132,7 +132,7 @@ std::string format_profile_table(const Simulator& sim) {
      << "   fast cycles: " << prof->fast_cycles()
      << "   skip spans: " << prof->skip_spans() << '\n';
 
-  os << '\n' << "Per-device shard time (ms)\n";
+  os << '\n' << "Per-device stage time (ms)\n";
   os << std::left << std::setw(6) << "Dev" << std::right << std::setw(14)
      << "stage1_xbar" << std::setw(14) << "stage2_xbar" << std::setw(14)
      << "vaults(sum)" << std::setw(16) << "hottest vault" << '\n';

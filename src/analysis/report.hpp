@@ -84,8 +84,8 @@ struct LinkUtilization {
 
 /// Render the self-profiler as a fixed-width text table: one row per clock
 /// stage with wall time, share of the total, and ns per executed cycle,
-/// followed by a per-device breakdown (crossbar-stage shard time plus the
-/// summed and hottest vault).  Empty string when profiling is off.
+/// followed by a per-device breakdown (crossbar-stage time plus the summed
+/// and hottest vault).  Empty string when profiling is off.
 [[nodiscard]] std::string format_profile_table(const Simulator& sim);
 
 /// Render occupancy telemetry as a fixed-width text table: high-water mark

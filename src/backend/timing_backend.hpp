@@ -22,10 +22,10 @@
 //     (--wedge-vaults) and tests read — and sometimes write — them
 //     directly.  A backend must honor external writes to the arrays (a
 //     wedged bank stays wedged) and must keep them current on issue().
-//   * All methods are called from exactly one shard at a time (the clock
-//     engine shards by (device, vault)), so backends need no locking, but
-//     must be deterministic: identical call sequences produce identical
-//     state for any sim_threads / fast_forward setting.
+//   * The clock engine calls a vault's backend from one thread, in a fixed
+//     serial order, so backends need no locking, but must be
+//     deterministic: identical call sequences produce identical state for
+//     either fast_forward setting.
 //   * Timing decisions compare against the absolute cycle `now`; a
 //     backend never mutates state merely because time passed (required
 //     for idle-cycle fast-forward).

@@ -429,7 +429,6 @@ int hmcsim_get_stat(struct hmcsim_t* hmc, uint32_t dev, const char* name,
   else if (key == "pcm_write_throttle_stalls") {
     *value = s.pcm_write_throttle_stalls;
   }
-  else if (key == "sim_threads") *value = shim->sim.sim_threads();
   else if (key == "cycles_skipped") *value = shim->sim.cycles_skipped();
   else return -1;
   return 0;

@@ -4,8 +4,8 @@
 // The engine owns a compiled ChaosPlan and a cursor into it.  The clock
 // loop calls apply_due() at the top of every clock() — before the stage
 // dispatch AND before the fast-forward dispatch, so an event lands at its
-// exact cycle on both paths and the replay is bit-identical for any thread
-// count.  Events retarget the existing injectors: fault-rate knobs mutate
+// exact cycle on both paths and the replay is bit-identical either way.
+// Events retarget the existing injectors: fault-rate knobs mutate
 // the device configuration in place (so checkpoints capture the live
 // rates), structural events flip the same state bits the RAS machinery
 // maintains (dead links, failed vaults, busy banks).

@@ -5,8 +5,7 @@
 // fault injectors (link errors, dead links, DRAM fault rates, vault
 // failure, vault wedges, host-timeout squeeze) at a precise cycle; the
 // clock loop applies events exactly at their cycle on both the staged and
-// the fast-forward path, so a plan replays bit-identically for any thread
-// count.
+// the fast-forward path, so a plan replays bit-identically on either.
 //
 // Grammar (one directive per line, `#` comments):
 //

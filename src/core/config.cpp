@@ -201,10 +201,6 @@ Status DeviceConfig::validate(std::string* diagnostic) const {
           "link_stuck_window_cycles";
     return fail(Status::InvalidConfig);
   }
-  if (sim_threads > 256) {
-    os << "sim_threads must be 0 (hardware) or 1..256, got " << sim_threads;
-    return fail(Status::InvalidConfig);
-  }
   const AddressMap map = make_address_map();
   if (!map.valid()) {
     os << "address map construction failed: " << map.error();

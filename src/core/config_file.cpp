@@ -228,9 +228,6 @@ ConfigParseResult parse_config(std::istream& in) {
     } else if (key == "row_miss_cycles") {
       if (!is_number) return fail(line_no, "row_miss_cycles needs a number");
       dc.row_miss_cycles = static_cast<u32>(number);
-    } else if (key == "sim_threads") {
-      if (!is_number) return fail(line_no, "sim_threads needs a number");
-      dc.sim_threads = static_cast<u32>(number);
     } else if (key == "fast_forward") {
       if (value == "true" || value == "1") {
         dc.fast_forward = true;
@@ -426,7 +423,6 @@ void write_config(std::ostream& os, const SimConfig& config) {
   os << "pcm_read_cycles = " << dc.pcm_read_cycles << '\n';
   os << "pcm_write_cycles = " << dc.pcm_write_cycles << '\n';
   os << "pcm_write_gap_cycles = " << dc.pcm_write_gap_cycles << '\n';
-  os << "sim_threads = " << dc.sim_threads << '\n';
   os << "fast_forward = " << (dc.fast_forward ? "true" : "false") << '\n';
   os << "model_data = " << (dc.model_data ? "true" : "false") << '\n';
 }

@@ -20,9 +20,8 @@ void Simulator::inject_dram_fault(Device& dev, u32 vault_index, PhysAddr addr,
   const u64 sbe = cfg.dram_sbe_rate_ppm;
   const u64 dbe = cfg.dram_dbe_rate_ppm;
   if ((sbe | dbe) == 0 || bytes < 8) return;
-  // The fault domain is sharded per vault: each vault's accesses draw from
-  // its own generator, so the fault pattern is independent of the order
-  // vaults retire in — and therefore of the thread count.
+  // Each vault's accesses draw from its own generator, so the fault
+  // pattern is independent of the order vaults retire in.
   SplitMix64& rng = dev.vaults[vault_index].dram_rng;
   // One roll decides the access's fate: [0,sbe) plants a single-bit fault,
   // [sbe,sbe+dbe) a double-bit fault, the rest nothing.
@@ -43,44 +42,40 @@ void Simulator::inject_dram_fault(Device& dev, u32 vault_index, PhysAddr addr,
 }
 
 bool Simulator::ras_check_read(Device& dev, u32 vault_index, PhysAddr addr,
-                               usize bytes, ShardCtx& ctx) {
+                               usize bytes) {
   // Transient fault on this access, then codec over the whole footprint —
   // which also discovers latent faults planted by earlier writes.
   inject_dram_fault(dev, vault_index, addr, bytes);
   const SparseStore::FaultSummary sum = dev.store.check_and_repair(addr, bytes);
-  ctx.stats->dram_sbes += sum.corrected;
+  dev.stats.dram_sbes += sum.corrected;
   if (sum.corrected != 0) {
-    record_event(ctx, FlightEventType::RasSbe, dev.id(), 4,
+    record_event(FlightEventType::RasSbe, dev.id(), 4,
                  static_cast<u16>(vault_index), sum.corrected);
   }
   if (sum.uncorrectable == 0) return false;
-  ctx.stats->dram_dbes += sum.uncorrectable;
-  record_event(ctx, FlightEventType::RasDbe, dev.id(), 4,
+  dev.stats.dram_dbes += sum.uncorrectable;
+  record_event(FlightEventType::RasDbe, dev.id(), 4,
                static_cast<u16>(vault_index), sum.uncorrectable);
-  ctx.last_error_addr = addr;
-  ctx.last_error_stat = static_cast<u8>(ErrStat::DramDbe);
-  ctx.has_last_error = true;
-  note_vault_uncorrectable(dev, vault_index, ctx);
+  dev.ras.last_error_addr = addr;
+  dev.ras.last_error_stat = static_cast<u8>(ErrStat::DramDbe);
+  note_vault_uncorrectable(dev, vault_index);
   return true;
 }
 
-void Simulator::note_vault_uncorrectable(Device& dev, u32 vault_index,
-                                         ShardCtx& ctx) {
+void Simulator::note_vault_uncorrectable(Device& dev, u32 vault_index) {
   const u32 threshold = dev.config().vault_fail_threshold;
   if (threshold == 0) return;
-  // vault_uncorrectable[vault_index] is only ever touched by the shard
-  // retiring this vault, so the increment is race-free; the failure bit is
-  // deferred to the stage merge (the pending mask doubles as the
-  // only-count-once guard for repeat errors within one cycle).
+  // The failure bit takes effect at once, so a repeat error in the same
+  // cycle finds the vault dead and is not counted twice; stage 4 keeps
+  // retiring the vault until the cycle ends (see failed_snapshot_).
   if (++dev.ras.vault_uncorrectable[vault_index] >= threshold &&
-      dev.vault_alive(vault_index) &&
-      (ctx.pending_failed_vaults >> vault_index & 1) == 0) {
-    ctx.pending_failed_vaults |= u64{1} << vault_index;
-    ++ctx.stats->vault_failures;
-    trace_to(ctx, TraceEvent::ErrorResponse, 4, dev.id(), kNoCoord,
-             dev.quad_of_vault(vault_index), vault_index, kNoCoord, 0, 0,
-             Command::Error);
-    record_event(ctx, FlightEventType::VaultFailed, dev.id(), 4,
+      dev.vault_alive(vault_index)) {
+    dev.ras.failed_vaults |= u64{1} << vault_index;
+    ++dev.stats.vault_failures;
+    trace(TraceEvent::ErrorResponse, 4, dev.id(), kNoCoord,
+          dev.quad_of_vault(vault_index), vault_index, kNoCoord, 0, 0,
+          Command::Error);
+    record_event(FlightEventType::VaultFailed, dev.id(), 4,
                  static_cast<u16>(vault_index),
                  dev.ras.vault_uncorrectable[vault_index]);
   }
@@ -115,10 +110,6 @@ void Simulator::drain_failed_vault(Device& dev, u32 vault_index) {
   // instead of wedging the pipeline.  Responses the vault produced before
   // failing still drain through stage 5 untouched.
   VaultState& vault = dev.vaults[vault_index];
-  // Serial context: runs after the stage 3-4 barrier, so stats and traces
-  // apply directly.
-  ShardCtx ctx;
-  ctx.stats = &dev.stats;
   usize i = 0;
   while (i < vault.rqst.size()) {
     RequestEntry& entry = vault.rqst.at(i);
@@ -127,7 +118,7 @@ void Simulator::drain_failed_vault(Device& dev, u32 vault_index) {
       continue;
     }
     // Staging space is bounded; retry the remainder next cycle when full.
-    if (!emit_error_response(dev, entry, ErrStat::VaultFailed, 4, ctx)) return;
+    if (!emit_error_response(dev, entry, ErrStat::VaultFailed, 4)) return;
     ++dev.stats.degraded_drops;
     vault.rqst.remove(i);
   }

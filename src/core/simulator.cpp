@@ -81,34 +81,22 @@ Status Simulator::init(const SimConfig& config, Topology topo,
     }
   }
 
-  // Clock-engine parallelism: resolve the thread knob and size the stage
-  // scratch once, so the hot loop never allocates.  The sharded algorithm
-  // runs identically with or without the pool (see the file comment in
-  // simulator.hpp for the determinism argument).
-  resolved_threads_ = config.device.sim_threads == 0
-                          ? ThreadPool::hardware_threads()
-                          : config.device.sim_threads;
-  pool_.reset();
-  if (resolved_threads_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(resolved_threads_);
-  }
+  // Size the stage scratch once, so the hot loop never allocates.
   const u32 links = config.device.num_links;
   const u32 vaults = config.device.num_vaults();
   xbar_scratch_.resize(config.num_devices);
   for (auto& sc : xbar_scratch_) {
-    sc.trace.clear();
     sc.outbox.clear();
     sc.staged.assign(usize{config.num_devices} * links, 0);
   }
-  vault_scratch_.assign(usize{config.num_devices} * vaults, VaultScratch{});
   xbar_free_.assign(usize{config.num_devices} * links, 0);
   failed_snapshot_.assign(config.num_devices, 0);
   bounce_mark_.assign(usize{config.num_devices} * links, 0);
   bounced_.clear();
 
-  // Self-observation layer: all pure observation, so (like sim_threads and
-  // fast_forward) these knobs never change simulated state or checkpoint
-  // bytes — the observability axis of the differential harness proves it.
+  // Self-observation layer: all pure observation, so (like fast_forward)
+  // these knobs never change simulated state or checkpoint bytes — the
+  // observability axis of the differential harness proves it.
   profiler_.reset();
   telemetry_.reset();
   recorder_.reset();
@@ -215,29 +203,6 @@ void Simulator::trace(TraceEvent event, u8 stage, u32 dev, u32 link, u32 quad,
   tracer_.emit(rec);
 }
 
-void Simulator::trace_to(ShardCtx& ctx, TraceEvent event, u8 stage, u32 dev,
-                         u32 link, u32 quad, u32 vault, u32 bank,
-                         PhysAddr addr, Tag tag, Command cmd) {
-  if (!tracer_.enabled(event)) return;
-  TraceRecord rec;
-  rec.event = event;
-  rec.stage = stage;
-  rec.cycle = cycle_;
-  rec.dev = dev;
-  rec.link = link;
-  rec.quad = quad;
-  rec.vault = vault;
-  rec.bank = bank;
-  rec.addr = addr;
-  rec.tag = tag;
-  rec.cmd = cmd;
-  if (ctx.trace != nullptr) {
-    ctx.trace->push_back(rec);
-  } else {
-    tracer_.emit(rec);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Host-edge interface.
 // ---------------------------------------------------------------------------
@@ -292,14 +257,12 @@ Status Simulator::send(u32 dev, u32 link, const PacketBuffer& packet) {
   const Tag tag = entry.req.tag;
   const Command cmd = entry.req.cmd;
   if (config_.device.link_protocol) {
-    ShardCtx ctx;
-    ctx.stats = &d.stats;  // host context is serial
     switch (LinkLayer::arrive(d, link, entry, cycle_)) {
       case LinkArrival::Corrupted:
         // Corrupted still counts as a successful injection: the wire event
         // is the link layer's to recover (replay) or escalate.
-        record_event_direct(FlightEventType::LinkIrtry, dev, 0,
-                            static_cast<u16>(link), tag);
+        record_event(FlightEventType::LinkIrtry, dev, 0,
+                     static_cast<u16>(link), tag);
         break;
       case LinkArrival::Accepted:
         break;
@@ -309,7 +272,7 @@ Status Simulator::send(u32 dev, u32 link, const PacketBuffer& packet) {
       case LinkArrival::Dead:
         // Dead link: the host sees a deterministic LINK_FAILED error
         // response instead of a hang.
-        if (!emit_error_response(d, entry, ErrStat::LinkFailed, 0, ctx)) {
+        if (!emit_error_response(d, entry, ErrStat::LinkFailed, 0)) {
           ++d.stats.send_stalls;
           return Status::Stalled;
         }
@@ -556,25 +519,8 @@ bool Simulator::dump_flight_recorder_chrome(std::ostream& os) {
   return true;
 }
 
-void Simulator::record_event(ShardCtx& ctx, FlightEventType type, u32 dev,
-                             u8 stage, u16 unit, u64 arg) {
-  if (!recorder_) return;
-  FlightEvent ev;
-  ev.cycle = cycle_;
-  ev.arg = arg;
-  ev.dev = dev;
-  ev.unit = unit;
-  ev.stage = stage;
-  ev.type = type;
-  if (ctx.events != nullptr) {
-    ctx.events->push_back(ev);
-  } else {
-    recorder_->record(dev, ev);
-  }
-}
-
-void Simulator::record_event_direct(FlightEventType type, u32 dev, u8 stage,
-                                    u16 unit, u64 arg) {
+void Simulator::record_event(FlightEventType type, u32 dev, u8 stage,
+                             u16 unit, u64 arg) {
   if (!recorder_) return;
   FlightEvent ev;
   ev.cycle = cycle_;
@@ -591,7 +537,7 @@ void Simulator::record_watchdog_event(FlightEventType type, u64 arg) {
   // The watchdog is a whole-simulator condition: every device's post-mortem
   // window should show the transition.
   for (u32 d = 0; d < num_devices(); ++d) {
-    record_event_direct(type, d, 0, 0, arg);
+    record_event(type, d, 0, 0, arg);
   }
 }
 
@@ -780,14 +726,6 @@ bool Simulator::ff_fast_cycle() {
   return true;
 }
 
-void Simulator::run_shards(u32 num_shards, const std::function<void(u32)>& fn) {
-  if (pool_) {
-    pool_->parallel_for(num_shards, fn);
-  } else {
-    for (u32 s = 0; s < num_shards; ++s) fn(s);
-  }
-}
-
 void Simulator::stage1_child_xbar() { run_xbar_stage(child_devices_, 1); }
 
 void Simulator::stage2_root_xbar() { run_xbar_stage(root_devices_, 2); }
@@ -797,8 +735,8 @@ void Simulator::run_xbar_stage(const std::vector<u32>& devs, u8 stage) {
   const u32 links = config_.device.num_links;
   const bool multi_device = devices_.size() > 1;
   if (multi_device) {
-    // Pre-stage capacity snapshot: the base against which every shard
-    // reserves cross-device forward slots during the parallel phase.
+    // Pre-stage capacity snapshot: the base against which every device
+    // reserves cross-device forward slots before the flush.
     for (usize d = 0; d < devices_.size(); ++d) {
       for (u32 l = 0; l < links; ++l) {
         xbar_free_[d * links + l] =
@@ -806,38 +744,17 @@ void Simulator::run_xbar_stage(const std::vector<u32>& devs, u8 stage) {
       }
     }
   }
-  auto shard = [&](u32 s) {
+  for (usize s = 0; s < devs.size(); ++s) {
     const u64 t0 = profiler_ ? StageProfiler::now_ns() : 0;
-    Device& dev = *devices_[devs[s]];
     XbarScratch& sc = xbar_scratch_[s];
-    sc.trace.clear();
-    sc.events.clear();
     sc.outbox.clear();
     if (multi_device) std::fill(sc.staged.begin(), sc.staged.end(), 0u);
-    ShardCtx ctx;
-    ctx.stats = &dev.stats;  // shard == device: counters are exclusive
-    ctx.trace = &sc.trace;
-    ctx.events = &sc.events;
-    process_xbar(dev, stage, ctx, sc);
+    process_xbar(*devices_[devs[s]], stage, sc);
     if (profiler_) {
-      // The shard IS the device, so the accounting slot is exclusive.
       profiler_->add_device(stage == 1 ? ProfileStage::Stage1Xbar
                                        : ProfileStage::Stage2RootXbar,
                             devs[s], StageProfiler::now_ns() - t0);
     }
-  };
-  run_shards(static_cast<u32>(devs.size()), shard);
-  // Barrier merge: emit the buffered trace records (and flight-recorder
-  // events) in fixed shard order.
-  for (usize s = 0; s < devs.size(); ++s) {
-    for (const TraceRecord& rec : xbar_scratch_[s].trace) tracer_.emit(rec);
-    xbar_scratch_[s].trace.clear();
-    if (recorder_) {
-      for (const FlightEvent& ev : xbar_scratch_[s].events) {
-        recorder_->record(ev.dev, ev);
-      }
-    }
-    xbar_scratch_[s].events.clear();
   }
   if (multi_device) flush_outboxes(devs, stage);
 }
@@ -848,11 +765,11 @@ void Simulator::flush_outboxes(const std::vector<u32>& devs, u8 stage) {
     XbarScratch& sc = xbar_scratch_[s];
     if (sc.outbox.empty()) continue;
     Device& src = *devices_[devs[s]];
-    // The parallel phase reserved against a per-source snapshot, so
-    // combined staging from several sources can still overfill one
-    // destination.  Losers bounce back to the head of their source queue;
-    // a bounced destination is marked so later same-destination forwards
-    // from this source bounce too, preserving stream order.
+    // Each source reserved against the stage-start snapshot, so combined
+    // staging from several sources can still overfill one destination.
+    // Losers bounce back to the head of their source queue; a bounced
+    // destination is marked so later same-destination forwards from this
+    // source bounce too, preserving stream order.
     std::fill(bounce_mark_.begin(), bounce_mark_.end(), u8{0});
     bounced_.clear();
     for (StagedForward& fwd : sc.outbox) {
@@ -871,8 +788,8 @@ void Simulator::flush_outboxes(const std::vector<u32>& devs, u8 stage) {
           const u8 src_frp = fwd.entry.req.frp;
           switch (LinkLayer::arrive(peer, fwd.dst_link, fwd.entry, cycle_)) {
             case LinkArrival::Corrupted:
-              record_event_direct(FlightEventType::LinkIrtry, fwd.dst_dev,
-                                  stage, static_cast<u16>(fwd.dst_link), tag);
+              record_event(FlightEventType::LinkIrtry, fwd.dst_dev,
+                           stage, static_cast<u16>(fwd.dst_link), tag);
               [[fallthrough]];
             case LinkArrival::Accepted:
               // Either way the transmission left this device — a corrupted
@@ -885,10 +802,8 @@ void Simulator::flush_outboxes(const std::vector<u32>& devs, u8 stage) {
             case LinkArrival::Dead: {
               // The peer's ingress is dead: the packet dies here with a
               // host-visible LINK_FAILED (bounce when staging is full).
-              ShardCtx sctx;
-              sctx.stats = &src.stats;
               if (emit_error_response(src, fwd.entry, ErrStat::LinkFailed,
-                                      stage, sctx)) {
+                                      stage)) {
                 LinkLayer::complete(src, fwd.src_link, fwd.flits, src_frp);
                 consumed = true;
               }
@@ -910,10 +825,10 @@ void Simulator::flush_outboxes(const std::vector<u32>& devs, u8 stage) {
         ++src.stats.xbar_rqst_stalls;
         trace(TraceEvent::XbarRqstStall, stage, src.id(), fwd.src_link,
               kNoCoord, kNoCoord, kNoCoord, addr, tag, cmd);
-        record_event_direct(FlightEventType::Backpressure, src.id(), stage,
-                            static_cast<u16>(fwd.src_link),
-                            /*kind: cross-device bounce*/ 2);
-        // Restore the ingress fields the parallel phase rewrote for the
+        record_event(FlightEventType::Backpressure, src.id(), stage,
+                     static_cast<u16>(fwd.src_link),
+                     /*kind: cross-device bounce*/ 2);
+        // Restore the ingress fields process_xbar rewrote for the
         // destination; the consumed link budget stays consumed (the wasted
         // transmission time is the cost of the lost arbitration).
         fwd.entry.ingress_link = fwd.src_ingress;
@@ -933,7 +848,7 @@ void Simulator::flush_outboxes(const std::vector<u32>& devs, u8 stage) {
 Simulator::LegacyFault Simulator::legacy_link_fault(Device& dev,
                                                     LinkState& link_state,
                                                     RequestEntry& entry,
-                                                    u8 stage, ShardCtx& ctx) {
+                                                    u8 stage) {
   const DeviceConfig& cfg = dev.config();
   if (cfg.link_protocol || cfg.link_error_rate_ppm == 0 ||
       dev.fault_rng.next_below(1'000'000) >= cfg.link_error_rate_ppm) {
@@ -949,29 +864,28 @@ Simulator::LegacyFault Simulator::legacy_link_fault(Device& dev,
     ++entry.retries;
     ++dev.stats.link_retries;
     link_state.rqst_budget -= entry.pkt.flits;  // wasted link time
-    record_event(ctx, FlightEventType::LinkRetry, dev.id(), stage,
+    record_event(FlightEventType::LinkRetry, dev.id(), stage,
                  static_cast<u16>(&link_state - dev.links.data()),
                  entry.retries);
     return LegacyFault::Replay;
   }
-  if (emit_error_response(dev, entry, ErrStat::CrcFailure, stage, ctx)) {
+  if (emit_error_response(dev, entry, ErrStat::CrcFailure, stage)) {
     ++dev.stats.link_errors;
     return LegacyFault::Killed;
   }
   return LegacyFault::Blocked;
 }
 
-bool Simulator::step_link_protocol(Device& dev, u32 link, u8 stage,
-                                   ShardCtx& ctx) {
+bool Simulator::step_link_protocol(Device& dev, u32 link, u8 stage) {
   LinkState& link_state = dev.links[link];
   LinkProtoState& st = link_state.proto;
   if (st.dead) {
     // First sighting of the escalation: one LINK_FAILED event per link.
     // (LinkProtoState is checkpointed, so the logged bit lives simulator-
-    // side in fr_dead_logged_; the shard owns its device's mask.)
+    // side in fr_dead_logged_.)
     if (recorder_ && (fr_dead_logged_[dev.id()] >> link & 1) == 0) {
       fr_dead_logged_[dev.id()] |= u64{1} << link;
-      record_event(ctx, FlightEventType::LinkFailed, dev.id(), stage,
+      record_event(FlightEventType::LinkFailed, dev.id(), stage,
                    static_cast<u16>(link), st.fail_count);
     }
     // Dead-link drain: every queued request was accepted (tokens debited)
@@ -981,7 +895,7 @@ bool Simulator::step_link_protocol(Device& dev, u32 link, u8 stage,
       RequestEntry& head = link_state.rqst.front();
       const u32 flits = head.pkt.flits;
       const u8 frp = head.req.frp;
-      if (!emit_error_response(dev, head, ErrStat::LinkFailed, stage, ctx)) {
+      if (!emit_error_response(dev, head, ErrStat::LinkFailed, stage)) {
         break;  // staging full; drain the remainder next cycle
       }
       LinkLayer::complete(dev, link, flits, frp);
@@ -996,7 +910,7 @@ bool Simulator::step_link_protocol(Device& dev, u32 link, u8 stage,
     // last hundreds of cycles; one event per window keeps the ring useful).
     if (recorder_ &&
         (cycle_ == 0 || !LinkLayer::retraining(dev, link, cycle_ - 1))) {
-      record_event(ctx, FlightEventType::LinkRetrain, dev.id(), stage,
+      record_event(FlightEventType::LinkRetrain, dev.id(), stage,
                    static_cast<u16>(link),
                    st.retrain_until > cycle_ ? st.retrain_until - cycle_ : 0);
     }
@@ -1007,15 +921,14 @@ bool Simulator::step_link_protocol(Device& dev, u32 link, u8 stage,
       // Retry budget exhausted (or a corrupt retry-buffer copy): the packet
       // dies as a CRC failure.  The emit cannot fail — mode_rsp space was
       // checked before stepping the replay machine.
-      (void)emit_error_response(dev, failed, ErrStat::CrcFailure, stage, ctx);
+      (void)emit_error_response(dev, failed, ErrStat::CrcFailure, stage);
       ++dev.stats.link_errors;
     }
   }
   return true;
 }
 
-void Simulator::process_xbar(Device& dev, u8 stage, ShardCtx& ctx,
-                             XbarScratch& sc) {
+void Simulator::process_xbar(Device& dev, u8 stage, XbarScratch& sc) {
   const DeviceConfig& cfg = dev.config();
   for (u32 link = 0; link < cfg.num_links; ++link) {
     LinkState& link_state = dev.links[link];
@@ -1024,7 +937,7 @@ void Simulator::process_xbar(Device& dev, u8 stage, ShardCtx& ctx,
     // beyond one cycle.
     link_state.rqst_budget =
         std::min<i64>(link_state.rqst_budget, 0) + cfg.xbar_flits_per_cycle;
-    if (cfg.link_protocol && !step_link_protocol(dev, link, stage, ctx)) {
+    if (cfg.link_protocol && !step_link_protocol(dev, link, stage)) {
       continue;  // dead link: the queue drains as LINK_FAILED errors
     }
     if (queue.empty()) continue;
@@ -1046,12 +959,11 @@ void Simulator::process_xbar(Device& dev, u8 stage, ShardCtx& ctx,
           // Nonexistent or unreachable cube: deliberate misconfiguration.
           // Count the misroute only when the error response actually lands
           // (a full staging queue retries next cycle).
-          if (emit_error_response(dev, entry, ErrStat::Unroutable, stage,
-                                  ctx)) {
+          if (emit_error_response(dev, entry, ErrStat::Unroutable, stage)) {
             ++dev.stats.misroutes;
-            trace_to(ctx, TraceEvent::Misroute, stage, dev.id(), link,
-                     kNoCoord, kNoCoord, kNoCoord, entry.req.addr,
-                     entry.req.tag, entry.req.cmd);
+            trace(TraceEvent::Misroute, stage, dev.id(), link,
+                  kNoCoord, kNoCoord, kNoCoord, entry.req.addr,
+                  entry.req.tag, entry.req.cmd);
             link_state.rqst_budget -= entry.pkt.flits;
             if (cfg.link_protocol) {
               LinkLayer::complete(dev, link, entry.pkt.flits, entry.req.frp);
@@ -1078,7 +990,7 @@ void Simulator::process_xbar(Device& dev, u8 stage, ShardCtx& ctx,
         }
         // Injected link error (legacy abstract model; under link_protocol
         // the roll already happened at arrival and this is a no-op).
-        switch (legacy_link_fault(dev, link_state, entry, stage, ctx)) {
+        switch (legacy_link_fault(dev, link_state, entry, stage)) {
           case LegacyFault::None:
             break;
           case LegacyFault::Replay:
@@ -1096,18 +1008,18 @@ void Simulator::process_xbar(Device& dev, u8 stage, ShardCtx& ctx,
         const LinkEndpoint& e =
             topo_.endpoint(CubeId{dev.id()}, LinkId{out_link});
         // Two-phase forward: the destination queue belongs to another
-        // device, so the actual push happens serially at the stage barrier
-        // (flush_outboxes).  Capacity here is reserved against the
-        // pre-stage free-slot snapshot minus this device's own staged
-        // entries; over-commitment from several sources resolves at the
-        // flush, which bounces losers back to this queue's head.
+        // device, so the actual push happens once every device in the
+        // stage has run (flush_outboxes).  Capacity here is reserved
+        // against the pre-stage free-slot snapshot minus this device's own
+        // staged entries; over-commitment from several sources resolves at
+        // the flush, which bounces losers back to this queue's head.
         const usize slot = usize{e.peer_dev} * cfg.num_links + e.peer_link;
         if (sc.staged[slot] >= xbar_free_[slot]) {
           ++dev.stats.xbar_rqst_stalls;
-          trace_to(ctx, TraceEvent::XbarRqstStall, stage, dev.id(), link,
-                   kNoCoord, kNoCoord, kNoCoord, entry.req.addr,
-                   entry.req.tag, entry.req.cmd);
-          record_event(ctx, FlightEventType::Backpressure, dev.id(), stage,
+          trace(TraceEvent::XbarRqstStall, stage, dev.id(), link,
+                kNoCoord, kNoCoord, kNoCoord, entry.req.addr,
+                entry.req.tag, entry.req.cmd);
+          record_event(FlightEventType::Backpressure, dev.id(), stage,
                        static_cast<u16>(link), /*kind: peer reserve full*/ 0);
           blocked_links |= 1u << out_link;
           ++i;
@@ -1178,18 +1090,18 @@ void Simulator::process_xbar(Device& dev, u8 stage, ShardCtx& ctx,
           rf.errstat = ErrStat::RegisterFault;
           (void)encode_response(rf, {}, rsp.pkt);
           ++dev.stats.error_responses;
-          trace_to(ctx, TraceEvent::ErrorResponse, stage, dev.id(), link,
-                   kNoCoord, kNoCoord, kNoCoord, entry.req.addr,
-                   entry.req.tag, entry.req.cmd);
+          trace(TraceEvent::ErrorResponse, stage, dev.id(), link,
+                kNoCoord, kNoCoord, kNoCoord, entry.req.addr,
+                entry.req.tag, entry.req.cmd);
         }
         rsp.cmd = field::cmd_of(rsp.pkt.header());
         rsp.ready_cycle = cycle_ + 1;
         // Space was reserved above; this push cannot fail.
         (void)dev.mode_rsp.push(std::move(rsp));
         ++dev.stats.mode_ops;
-        trace_to(ctx, TraceEvent::ModeRequest, stage, dev.id(), link,
-                 kNoCoord, kNoCoord, kNoCoord, entry.req.addr, entry.req.tag,
-                 entry.req.cmd);
+        trace(TraceEvent::ModeRequest, stage, dev.id(), link,
+              kNoCoord, kNoCoord, kNoCoord, entry.req.addr, entry.req.tag,
+              entry.req.cmd);
         link_state.rqst_flits_forwarded += entry.pkt.flits;
         link_state.rqst_budget -= entry.pkt.flits;
         if (cfg.link_protocol) {
@@ -1201,8 +1113,7 @@ void Simulator::process_xbar(Device& dev, u8 stage, ShardCtx& ctx,
 
       // ---- local memory requests: route to the destination vault ---------
       if (!dev.address_map().in_range(entry.req.addr)) {
-        if (emit_error_response(dev, entry, ErrStat::InvalidAddress, stage,
-                                ctx)) {
+        if (emit_error_response(dev, entry, ErrStat::InvalidAddress, stage)) {
           link_state.rqst_budget -= entry.pkt.flits;
           if (cfg.link_protocol) {
             LinkLayer::complete(dev, link, entry.pkt.flits, entry.req.frp);
@@ -1225,7 +1136,7 @@ void Simulator::process_xbar(Device& dev, u8 stage, ShardCtx& ctx,
           vault = partner;
           remapped = true;
         } else if (emit_error_response(dev, entry, ErrStat::VaultFailed,
-                                       stage, ctx)) {
+                                       stage)) {
           ++dev.stats.degraded_drops;
           link_state.rqst_budget -= entry.pkt.flits;
           if (cfg.link_protocol) {
@@ -1247,9 +1158,9 @@ void Simulator::process_xbar(Device& dev, u8 stage, ShardCtx& ctx,
         entry.ready_cycle =
             std::max(entry.ready_cycle, cycle_ + cfg.nonlocal_penalty_cycles);
         ++dev.stats.latency_penalties;
-        trace_to(ctx, TraceEvent::LatencyPenalty, stage, dev.id(), link,
-                 dev.quad_of_vault(vault), vault, kNoCoord, entry.req.addr,
-                 entry.req.tag, entry.req.cmd);
+        trace(TraceEvent::LatencyPenalty, stage, dev.id(), link,
+              dev.quad_of_vault(vault), vault, kNoCoord, entry.req.addr,
+              entry.req.tag, entry.req.cmd);
       }
 
       if (entry.ready_cycle > cycle_ || (blocked_vaults & (u64{1} << vault))) {
@@ -1259,7 +1170,7 @@ void Simulator::process_xbar(Device& dev, u8 stage, ShardCtx& ctx,
       }
 
       // Injected link error on the internal hop (see above).
-      switch (legacy_link_fault(dev, link_state, entry, stage, ctx)) {
+      switch (legacy_link_fault(dev, link_state, entry, stage)) {
         case LegacyFault::None:
           break;
         case LegacyFault::Replay:
@@ -1280,19 +1191,19 @@ void Simulator::process_xbar(Device& dev, u8 stage, ShardCtx& ctx,
       moved.life.vault_arrive = cycle_;
       if (!dev.vaults[vault].rqst.push(std::move(moved))) {
         ++dev.stats.xbar_rqst_stalls;
-        trace_to(ctx, TraceEvent::XbarRqstStall, stage, dev.id(), link,
-                 dev.quad_of_vault(vault), vault, kNoCoord, entry.req.addr,
-                 entry.req.tag, entry.req.cmd);
-        record_event(ctx, FlightEventType::Backpressure, dev.id(), stage,
+        trace(TraceEvent::XbarRqstStall, stage, dev.id(), link,
+              dev.quad_of_vault(vault), vault, kNoCoord, entry.req.addr,
+              entry.req.tag, entry.req.cmd);
+        record_event(FlightEventType::Backpressure, dev.id(), stage,
                      static_cast<u16>(link), /*kind: vault queue full*/ 1);
         blocked_vaults |= u64{1} << vault;
         ++i;
         continue;
       }
       if (remapped) ++dev.stats.vault_remaps;
-      trace_to(ctx, TraceEvent::VaultArrival, stage, dev.id(), link,
-               dev.quad_of_vault(vault), vault, kNoCoord, entry.req.addr,
-               entry.req.tag, entry.req.cmd);
+      trace(TraceEvent::VaultArrival, stage, dev.id(), link,
+            dev.quad_of_vault(vault), vault, kNoCoord, entry.req.addr,
+            entry.req.tag, entry.req.cmd);
       link_state.rqst_flits_forwarded += entry.pkt.flits;
       link_state.rqst_budget -= entry.pkt.flits;
       if (cfg.link_protocol) {
@@ -1303,8 +1214,7 @@ void Simulator::process_xbar(Device& dev, u8 stage, ShardCtx& ctx,
   }
 }
 
-void Simulator::scan_bank_conflicts(Device& dev, u32 vault_index,
-                                    ShardCtx& ctx) {
+void Simulator::scan_bank_conflicts(Device& dev, u32 vault_index) {
   const DeviceConfig& cfg = dev.config();
   const u32 window = cfg.conflict_window == 0
                          ? static_cast<u32>(cfg.vault_depth)
@@ -1324,20 +1234,19 @@ void Simulator::scan_bank_conflicts(Device& dev, u32 vault_index,
       if (entry.life.first_conflict == 0) {
         entry.life.first_conflict = cycle_;
       }
-      ++ctx.stats->bank_conflicts;
-      trace_to(ctx, TraceEvent::BankConflict, 3, dev.id(), kNoCoord,
-               dev.quad_of_vault(vault_index), vault_index, bank,
-               entry.req.addr, entry.req.tag, entry.req.cmd);
+      ++dev.stats.bank_conflicts;
+      trace(TraceEvent::BankConflict, 3, dev.id(), kNoCoord,
+            dev.quad_of_vault(vault_index), vault_index, bank,
+            entry.req.addr, entry.req.tag, entry.req.cmd);
     }
   }
 }
 
 void Simulator::stage3_and_4_vaults() {
   const u32 vaults = config_.device.num_vaults();
-  const u32 total = static_cast<u32>(devices_.size()) * vaults;
-  // Stage-start snapshot of the failure masks: shard selection and the
-  // serial drain below read a stable copy; bits earned during this stage
-  // accumulate per shard and merge at the barrier.
+  // Stage-start snapshot of the failure masks: a vault that fails during
+  // this stage still retires for the rest of the cycle, and only vaults
+  // failed at stage start drain below.
   for (usize d = 0; d < devices_.size(); ++d) {
     failed_snapshot_[d] = devices_[d]->ras.failed_vaults;
   }
@@ -1346,55 +1255,23 @@ void Simulator::stage3_and_4_vaults() {
   // devices, and the per-vault table only needs relative weights.  The
   // sampling key is the deterministic cycle counter, never wall time.
   const bool time_vaults = profiler_ != nullptr && (cycle_ & 0xF) == 0;
-  auto shard = [&](u32 s) {
-    const u64 t0 = time_vaults ? StageProfiler::now_ns() : 0;
-    const u32 d = s / vaults;
-    const u32 v = s % vaults;
+  for (u32 d = 0; d < devices_.size(); ++d) {
     Device& dev = *devices_[d];
-    VaultScratch& sc = vault_scratch_[s];
-    sc.stats = DeviceStats{};
-    sc.trace.clear();
-    sc.events.clear();
-    ShardCtx ctx;
-    ctx.stats = &sc.stats;
-    ctx.trace = &sc.trace;
-    ctx.events = &sc.events;
-    // Stage 3 scans every vault's conflict window (failed vaults
-    // included, as the serial engine did); stage 4 then retires on the
-    // same shard.  All state both touch is per-vault, and for one vault
-    // the scan-then-retire order matches the serial stage sequence.
-    scan_bank_conflicts(dev, v, ctx);
-    if ((failed_snapshot_[d] >> v & 1) == 0) process_vault(dev, v, ctx);
-    sc.pending_failed_vaults = ctx.pending_failed_vaults;
-    sc.last_error_addr = ctx.last_error_addr;
-    sc.last_error_stat = ctx.last_error_stat;
-    sc.has_last_error = ctx.has_last_error;
-    // The shard IS the (device, vault) pair: the slot is exclusive.
-    if (time_vaults) profiler_->add_vault(d, v, StageProfiler::now_ns() - t0);
-  };
-  run_shards(total, shard);
-  // Barrier merge in fixed (device, vault) shard order, independent of
-  // thread count: stats, trace records, flight-recorder events, failure
-  // bits, the RAS error log.
-  for (u32 s = 0; s < total; ++s) {
-    Device& dev = *devices_[s / vaults];
-    VaultScratch& sc = vault_scratch_[s];
-    dev.stats += sc.stats;
-    for (const TraceRecord& rec : sc.trace) tracer_.emit(rec);
-    sc.trace.clear();
-    if (recorder_) {
-      for (const FlightEvent& ev : sc.events) recorder_->record(ev.dev, ev);
-    }
-    sc.events.clear();
-    dev.ras.failed_vaults |= sc.pending_failed_vaults;
-    if (sc.has_last_error) {
-      dev.ras.last_error_addr = sc.last_error_addr;
-      dev.ras.last_error_stat = sc.last_error_stat;
+    for (u32 v = 0; v < vaults; ++v) {
+      const u64 t0 = time_vaults ? StageProfiler::now_ns() : 0;
+      // Stage 3 scans every vault's conflict window (failed vaults
+      // included); stage 4 then retires the same vault.  All state both
+      // touch is per-vault, so fusing them leaves the same state as running
+      // stage 3 over every vault first (trace records come out per vault).
+      scan_bank_conflicts(dev, v);
+      if ((failed_snapshot_[d] >> v & 1) == 0) process_vault(dev, v);
+      if (time_vaults) {
+        profiler_->add_vault(d, v, StageProfiler::now_ns() - t0);
+      }
     }
   }
-  // Vaults already failed at stage start drain serially after the barrier:
-  // their VAULT_FAILED error responses stage into the shared mode_rsp
-  // queue, which no alive-vault shard touches.
+  // Vaults already failed at stage start drain after every alive vault
+  // has retired: their VAULT_FAILED error responses stage into mode_rsp.
   for (usize d = 0; d < devices_.size(); ++d) {
     if (failed_snapshot_[d] == 0) continue;
     Device& dev = *devices_[d];
@@ -1404,7 +1281,7 @@ void Simulator::stage3_and_4_vaults() {
   }
 }
 
-void Simulator::process_vault(Device& dev, u32 vault_index, ShardCtx& ctx) {
+void Simulator::process_vault(Device& dev, u32 vault_index) {
   const DeviceConfig& cfg = dev.config();
   VaultState& vault = dev.vaults[vault_index];
 
@@ -1416,7 +1293,7 @@ void Simulator::process_vault(Device& dev, u32 vault_index, ShardCtx& ctx) {
                          cfg.num_vaults();
     if ((cycle_ + offset) % cfg.refresh_interval_cycles == 0) {
       vault.timing->refresh(vault, cycle_, cfg.refresh_busy_cycles);
-      ++ctx.stats->refreshes;
+      ++dev.stats.refreshes;
     }
   }
 
@@ -1454,7 +1331,7 @@ void Simulator::process_vault(Device& dev, u32 vault_index, ShardCtx& ctx) {
                               : vault.timing->gate(vault, bank, access, cycle_);
     if (gate != BankGate::Ready) {
       if (gate == BankGate::Throttled) {
-        ++ctx.stats->pcm_write_throttle_stalls;
+        ++dev.stats.pcm_write_throttle_stalls;
       }
       if (strict) break;
       blocked_banks |= bit;
@@ -1466,12 +1343,12 @@ void Simulator::process_vault(Device& dev, u32 vault_index, ShardCtx& ctx) {
                                   ? entry.custom->response_flits == 0
                                   : is_posted(entry.req.cmd);
     if (!entry_posted && vault.rsp.full()) {
-      ++ctx.stats->vault_rsp_stalls;
+      ++dev.stats.vault_rsp_stalls;
       if (!rsp_stalled_logged) {
-        trace_to(ctx, TraceEvent::VaultRspStall, 4, dev.id(), kNoCoord,
-                 dev.quad_of_vault(vault_index), vault_index, bank,
-                 entry.req.addr, entry.req.tag, entry.req.cmd);
-        record_event(ctx, FlightEventType::Backpressure, dev.id(), 4,
+        trace(TraceEvent::VaultRspStall, 4, dev.id(), kNoCoord,
+              dev.quad_of_vault(vault_index), vault_index, bank,
+              entry.req.addr, entry.req.tag, entry.req.cmd);
+        record_event(FlightEventType::Backpressure, dev.id(), 4,
                      static_cast<u16>(vault_index),
                      /*kind: vault rsp full*/ 3);
         rsp_stalled_logged = true;
@@ -1481,7 +1358,7 @@ void Simulator::process_vault(Device& dev, u32 vault_index, ShardCtx& ctx) {
       ++i;
       continue;
     }
-    if (!retire_request(dev, vault_index, entry, ctx)) {
+    if (!retire_request(dev, vault_index, entry)) {
       if (strict) break;
       blocked_banks |= bit;
       ++i;
@@ -1489,14 +1366,14 @@ void Simulator::process_vault(Device& dev, u32 vault_index, ShardCtx& ctx) {
     }
     used_banks |= bit;
     vault.timing->issue(vault, bank, dev.address_map().row_of(entry.req.addr),
-                        access, cycle_, *ctx.stats);
+                        access, cycle_, dev.stats);
     vault.rqst.remove(i);
     ++retired;
   }
 }
 
 bool Simulator::retire_request(Device& dev, u32 vault_index,
-                               RequestEntry& entry, ShardCtx& ctx) {
+                               RequestEntry& entry) {
   const Command cmd = entry.req.cmd;
   const PhysAddr addr = entry.req.addr;
   const bool posted = entry.custom != nullptr
@@ -1523,10 +1400,10 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
     rsp.home_link = entry.home_link;
     rsp.ready_cycle = cycle_ + 1;
     if (!posted && !vault.rsp.push(std::move(rsp))) return false;
-    ++ctx.stats->error_responses;
-    trace_to(ctx, TraceEvent::ErrorResponse, 4, dev.id(), kNoCoord,
-             dev.quad_of_vault(vault_index), vault_index, bank, addr,
-             entry.req.tag, cmd);
+    ++dev.stats.error_responses;
+    trace(TraceEvent::ErrorResponse, 4, dev.id(), kNoCoord,
+          dev.quad_of_vault(vault_index), vault_index, bank, addr,
+          entry.req.tag, cmd);
     return true;
   }
 
@@ -1556,10 +1433,10 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
     rsp.home_link = entry.home_link;
     rsp.ready_cycle = cycle_ + 1;
     if (!vault.rsp.push(std::move(rsp))) return false;
-    ++ctx.stats->error_responses;
-    trace_to(ctx, TraceEvent::ErrorResponse, 4, dev.id(), kNoCoord,
-             dev.quad_of_vault(vault_index), vault_index, bank, addr,
-             entry.req.tag, cmd);
+    ++dev.stats.error_responses;
+    trace(TraceEvent::ErrorResponse, 4, dev.id(), kNoCoord,
+          dev.quad_of_vault(vault_index), vault_index, bank, addr,
+          entry.req.tag, cmd);
     return true;
   };
 
@@ -1567,7 +1444,7 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
   // under the same bank timing, with a user-defined operation.
   if (entry.custom != nullptr) {
     const CustomCommandDef& def = *entry.custom;
-    if (dram_ras && ras_check_read(dev, vault_index, addr, bytes, ctx)) {
+    if (dram_ras && ras_check_read(dev, vault_index, addr, bytes)) {
       return poison_response();
     }
     if (model_data) (void)dev.store.read_words(addr, {data, bytes / 8});
@@ -1577,12 +1454,12 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
     def.handler({data, bytes / 8}, entry.pkt.payload(),
                 {rsp_payload, rsp_words});
     if (model_data) (void)dev.store.write_words(addr, {data, bytes / 8});
-    ++ctx.stats->custom_ops;
-    ctx.stats->bytes_read += bytes;
-    ctx.stats->bytes_written += bytes;
-    trace_to(ctx, TraceEvent::CustomRequest, 4, dev.id(), entry.home_link,
-             dev.quad_of_vault(vault_index), vault_index, bank, addr,
-             entry.req.tag, cmd);
+    ++dev.stats.custom_ops;
+    dev.stats.bytes_read += bytes;
+    dev.stats.bytes_written += bytes;
+    trace(TraceEvent::CustomRequest, 4, dev.id(), entry.home_link,
+          dev.quad_of_vault(vault_index), vault_index, bank, addr,
+          entry.req.tag, cmd);
     if (posted) return true;
 
     ResponseFields rf;
@@ -1606,22 +1483,22 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
     rsp.life.tag = entry.req.tag;
     rsp.life.cmd = cmd;
     const bool pushed = vault.rsp.push(std::move(rsp));
-    if (pushed) ++ctx.stats->responses;
+    if (pushed) ++dev.stats.responses;
     return pushed;
   }
 
   if (is_read(cmd)) {
-    if (dram_ras && ras_check_read(dev, vault_index, addr, bytes, ctx)) {
+    if (dram_ras && ras_check_read(dev, vault_index, addr, bytes)) {
       return poison_response();
     }
     if (model_data) {
       (void)dev.store.read_words(addr, {data, bytes / 8});
     }
-    ++ctx.stats->reads;
-    ctx.stats->bytes_read += bytes;
-    trace_to(ctx, TraceEvent::ReadRequest, 4, dev.id(), entry.home_link,
-             dev.quad_of_vault(vault_index), vault_index, bank, addr,
-             entry.req.tag, cmd);
+    ++dev.stats.reads;
+    dev.stats.bytes_read += bytes;
+    trace(TraceEvent::ReadRequest, 4, dev.id(), entry.home_link,
+          dev.quad_of_vault(vault_index), vault_index, bank, addr,
+          entry.req.tag, cmd);
   } else if (is_write(cmd)) {
     if (model_data) {
       (void)dev.store.write_words(addr, entry.pkt.payload());
@@ -1631,13 +1508,13 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
     if ((cfg.dram_sbe_rate_ppm | cfg.dram_dbe_rate_ppm) != 0) {
       inject_dram_fault(dev, vault_index, addr, bytes);
     }
-    ++ctx.stats->writes;
-    ctx.stats->bytes_written += bytes;
-    trace_to(ctx, TraceEvent::WriteRequest, 4, dev.id(), entry.home_link,
-             dev.quad_of_vault(vault_index), vault_index, bank, addr,
-             entry.req.tag, cmd);
+    ++dev.stats.writes;
+    dev.stats.bytes_written += bytes;
+    trace(TraceEvent::WriteRequest, 4, dev.id(), entry.home_link,
+          dev.quad_of_vault(vault_index), vault_index, bank, addr,
+          entry.req.tag, cmd);
   } else if (is_atomic(cmd)) {
-    if (dram_ras && ras_check_read(dev, vault_index, addr, bytes, ctx)) {
+    if (dram_ras && ras_check_read(dev, vault_index, addr, bytes)) {
       return poison_response();
     }
     // All atomics are 16-byte read-modify-write operations.
@@ -1668,12 +1545,12 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
         break;
     }
     if (model_data) (void)dev.store.write_words(addr, updated);
-    ++ctx.stats->atomics;
-    ctx.stats->bytes_read += bytes;
-    ctx.stats->bytes_written += bytes;
-    trace_to(ctx, TraceEvent::AtomicRequest, 4, dev.id(), entry.home_link,
-             dev.quad_of_vault(vault_index), vault_index, bank, addr,
-             entry.req.tag, cmd);
+    ++dev.stats.atomics;
+    dev.stats.bytes_read += bytes;
+    dev.stats.bytes_written += bytes;
+    trace(TraceEvent::AtomicRequest, 4, dev.id(), entry.home_link,
+          dev.quad_of_vault(vault_index), vault_index, bank, addr,
+          entry.req.tag, cmd);
   } else {
     // Unsupported at a vault (flow/mode should never get here).
     ResponseFields rf;
@@ -1690,7 +1567,7 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
     rsp.home_link = entry.home_link;
     rsp.ready_cycle = cycle_ + 1;
     if (!vault.rsp.push(std::move(rsp))) return false;
-    ++ctx.stats->error_responses;
+    ++dev.stats.error_responses;
     return true;
   }
 
@@ -1721,13 +1598,12 @@ bool Simulator::retire_request(Device& dev, u32 vault_index,
   rsp.life.cmd = cmd;
   const bool pushed = vault.rsp.push(std::move(rsp));
   // Callers checked for space before retiring; a failure here is a bug.
-  if (pushed) ++ctx.stats->responses;
+  if (pushed) ++dev.stats.responses;
   return pushed;
 }
 
 bool Simulator::emit_error_response(Device& dev, const RequestEntry& entry,
-                                    ErrStat errstat, u8 stage,
-                                    ShardCtx& ctx) {
+                                    ErrStat errstat, u8 stage) {
   if (dev.mode_rsp.full()) return false;
   ResponseFields rf;
   rf.cmd = Command::Error;
@@ -1744,15 +1620,12 @@ bool Simulator::emit_error_response(Device& dev, const RequestEntry& entry,
   rsp.ready_cycle = cycle_ + 1;
   const bool pushed = dev.mode_rsp.push(std::move(rsp));
   if (pushed) {
-    // mode_rsp and the RAS error log are written directly: every caller
-    // runs either device-exclusive (stages 1-2) or serial (failed-vault
-    // drain after the stage 3-4 barrier).
     ++dev.stats.error_responses;
     dev.ras.last_error_addr = entry.req.addr;
     dev.ras.last_error_stat = static_cast<u8>(errstat);
-    trace_to(ctx, TraceEvent::ErrorResponse, stage, dev.id(), kNoCoord,
-             kNoCoord, kNoCoord, kNoCoord, entry.req.addr, entry.req.tag,
-             entry.req.cmd);
+    trace(TraceEvent::ErrorResponse, stage, dev.id(), kNoCoord,
+          kNoCoord, kNoCoord, kNoCoord, entry.req.addr, entry.req.tag,
+          entry.req.cmd);
   }
   return pushed;
 }

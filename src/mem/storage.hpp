@@ -10,14 +10,14 @@
 // controller's block granularity), but arbitrary byte spans are supported
 // for host-side convenience and tests.
 //
-// Concurrency: the parallel clock engine retires requests for different
-// vaults on different threads, and a 4 KiB page spans many vaults'
-// interleaved blocks — so the page table is a flat array of atomic page
-// pointers.  Lookups are lock-free loads; first-touch materialization is a
-// compare-exchange (the loser frees its zero-filled candidate, so page
-// contents are identical regardless of which thread wins).  Concurrent
-// accesses to one page always target disjoint byte ranges (each vault owns
-// its interleaved blocks), which is race-free by the C++ memory model.
+// Concurrency: callers may access different vaults' blocks from different
+// threads, and a 4 KiB page spans many vaults' interleaved blocks — so the
+// page table is a flat array of atomic page pointers.  Lookups are
+// lock-free loads; first-touch materialization is a compare-exchange (the
+// loser frees its zero-filled candidate, so page contents are identical
+// regardless of which thread wins).  Concurrent accesses to one page must
+// target disjoint byte ranges (each vault owns its interleaved blocks),
+// which is race-free by the C++ memory model.
 // The flat table also makes page iteration order deterministic by
 // construction (ascending index), which checkpointing relies on.
 //

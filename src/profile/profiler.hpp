@@ -1,14 +1,9 @@
 // Simulator self-profiler: steady-clock wall-time attribution for the
 // six-stage clock engine.
 //
-// The clock() dispatch loop times each stage serially (the span includes
-// thread-pool fan-out and the fixed-order merge), while the shard lambdas
-// additionally time their own bodies — per device for the crossbar stages
-// (1-2, where shard == device) and per vault for the fused stage 3-4.  Each
-// shard owns its accounting slot exclusively (the shard *is* the device or
-// (device, vault)), so concurrent shards never write the same counter and
-// no merge step is needed: the accumulation order per slot is the shard's
-// own execution order, and cross-slot totals are order-independent sums.
+// The clock() dispatch loop times each stage, while the stage loops
+// additionally time each unit of work — per device for the crossbar stages
+// (1-2) and per (device, vault) for the fused stage 3-4.
 //
 // The profiler is pure observation: it reads the monotonic clock and adds
 // to counters, never branching simulation behavior — runs with it on are
@@ -97,8 +92,8 @@ class StageProfiler {
   u64 staged_cycles_{0};
   u64 fast_cycles_{0};
   u64 skip_spans_{0};
-  /// Per-device shard time for Stage1Xbar / Stage2RootXbar (other stages
-  /// unused but kept uniform for simple indexing).
+  /// Per-device time for Stage1Xbar / Stage2RootXbar (other stages unused
+  /// but kept uniform for simple indexing).
   std::vector<u64> device_ns_[kProfileStageCount];
   std::vector<u64> vault_ns_;  ///< [dev * vaults_per_device + vault]
 };

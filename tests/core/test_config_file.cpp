@@ -244,13 +244,21 @@ TEST(ConfigFile, ChaosInvariantsKnobParsesAndRoundTrips) {
 TEST(ConfigFile, OverlongLinesAreRefusedWithALineNumber) {
   // A hostile or corrupt file must not balloon memory line by line: any
   // line past the 64 KiB bound is a typed error, not a silent read.
-  std::string text = "num_links = 4\nsim_threads = ";
+  std::string text = "num_links = 4\nwatchdog_cycles = ";
   text.append(70000, '1');
   text += "\n";
   const auto r = parse_config_string(text);
   ASSERT_FALSE(r.ok);
   EXPECT_EQ(r.error.substr(0, 2), "2:");
   EXPECT_NE(r.error.find("65536"), std::string::npos);
+}
+
+TEST(ConfigFile, RemovedSimThreadsKeyIsUnknown) {
+  // The clock engine runs its stages serially; the old worker-thread knob
+  // is refused like any other unknown key, with its line number.
+  const auto r = parse_config_string("sim_threads = 4\n");
+  ASSERT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "1: unknown key 'sim_threads'");
 }
 
 TEST(ConfigFile, VaultBackendSelectionRoundTrips) {

@@ -57,7 +57,7 @@ TEST(ConfigFuzz, RandomKeyValueShapedLinesNeverCrash) {
       "num_devices",   "num_links",       "banks_per_vault",
       "xbar_depth",    "vault_depth",     "capacity_gb",
       "map_mode",      "vault_schedule",  "link_error_rate_ppm",
-      "sim_threads",   "dram_sbe_rate_ppm", "watchdog_cycles",
+      "dram_sbe_rate_ppm", "watchdog_cycles",
       "link_protocol", "link_tokens",     "link_retry_buffer_flits",
       "link_retry_latency", "link_error_burst_len",
       "link_stuck_interval_cycles", "link_stuck_window_cycles",
@@ -99,7 +99,6 @@ TEST(ConfigFuzz, MutatedValidFilesNeverMisparse) {
   // and accepts must still satisfy validation invariants.
   SimConfig sc;
   sc.device.num_links = 8;
-  sc.device.sim_threads = 4;
   sc.device.dram_sbe_rate_ppm = 100;
   // Non-default backend state so the timing_backend / vault_backend /
   // ddr_* / pcm_* lines exist in the serialized base and get mutated too.

@@ -246,6 +246,75 @@ TEST(VaultDegradation, UncorrectableThresholdFailsVaultDynamically) {
       sim.device(0).address_map().vault_of(0x4000)));
 }
 
+TEST(VaultDegradation, SameCycleUncorrectablesFailTheVaultOnce) {
+  DeviceConfig dc = ras_device();
+  dc.vault_fail_threshold = 1;
+  Simulator sim = test::make_simple_sim(dc);
+  const AddressMap& map = sim.device(0).address_map();
+
+  // a and b: one vault, two banks, so both reads retire in one cycle.
+  // c: a's bank, so it waits behind a and is still queued when the vault
+  // fails.
+  const PhysAddr a = 0x4000;
+  const u32 vault = map.vault_of(a);
+  PhysAddr b = 0;
+  PhysAddr c = 0;
+  for (PhysAddr addr = a + 16; b == 0 || c == 0; addr += 16) {
+    if (map.vault_of(addr) != vault) continue;
+    if (b == 0 && map.bank_of(addr) != map.bank_of(a)) b = addr;
+    if (c == 0 && map.bank_of(addr) == map.bank_of(a)) c = addr;
+  }
+  for (const PhysAddr addr : {a, b}) {
+    ASSERT_EQ(test::send_request(sim, 0, 0, Command::Wr16, addr, 50, 0,
+                                 {1, 2}),
+              Status::Ok);
+    ASSERT_TRUE(test::await_response(sim, 0, 0).has_value());
+    const std::array<u32, 2> bits = {2, 30};
+    ASSERT_TRUE(sim.device(0).store.plant_fault(addr, bits));
+  }
+  const Tag tag_a = 1;
+  const Tag tag_b = 2;
+  const Tag tag_c = 3;
+  ASSERT_EQ(test::send_request(sim, 0, 0, Command::Rd16, a, tag_a),
+            Status::Ok);
+  ASSERT_EQ(test::send_request(sim, 0, 0, Command::Rd16, b, tag_b),
+            Status::Ok);
+  ASSERT_EQ(test::send_request(sim, 0, 0, Command::Rd16, c, tag_c),
+            Status::Ok);
+
+  for (int i = 0; i < 100 && sim.stats(0).vault_failures == 0; ++i) {
+    sim.clock();
+  }
+  // The cycle that failed the vault retired both poisoned reads, counted
+  // one failure, and drained nothing yet.
+  EXPECT_EQ(sim.stats(0).vault_failures, 1u);
+  EXPECT_EQ(sim.stats(0).dram_dbes, 2u);
+  EXPECT_FALSE(sim.device(0).vault_alive(vault));
+  EXPECT_EQ(sim.stats(0).degraded_drops, 0u);
+  EXPECT_EQ(sim.device(0).vaults[vault].rqst.size(), 1u);
+  // The error log holds the read that retired second.
+  EXPECT_EQ(sim.device(0).ras.last_error_addr, b);
+  EXPECT_EQ(sim.device(0).ras.last_error_stat,
+            static_cast<u8>(ErrStat::DramDbe));
+
+  // VAULT_FAILED starts on the next cycle: c drains.
+  sim.clock();
+  EXPECT_EQ(sim.stats(0).degraded_drops, 1u);
+  EXPECT_EQ(sim.stats(0).vault_failures, 1u);
+
+  std::array<ErrStat, 4> errstat{};
+  for (int n = 0; n < 3; ++n) {
+    const auto rsp = test::await_response(sim, 0, 0);
+    ASSERT_TRUE(rsp.has_value());
+    ASSERT_EQ(rsp->cmd, Command::Error);
+    ASSERT_LT(rsp->tag, errstat.size());
+    errstat[rsp->tag] = rsp->errstat;
+  }
+  EXPECT_EQ(errstat[tag_a], ErrStat::DramDbe);
+  EXPECT_EQ(errstat[tag_b], ErrStat::DramDbe);
+  EXPECT_EQ(errstat[tag_c], ErrStat::VaultFailed);
+}
+
 TEST(Conservation, EveryRequestTerminatesUnderFullFaultRates) {
   // 100% DBE + transient link errors + a statically failed vault + the
   // watchdog armed: every request must still terminate (data or error)

@@ -29,7 +29,7 @@
 // every record type, not just the config header.  The tests restore each
 // fixture into a fresh simulator, replay 1000 cycles, and require (a) the
 // machine drains and retires work, and (b) the replay is bit-identical
-// across thread counts and fast-forward settings — proving old-version
+// with fast-forward off and on — proving old-version
 // restores land in a fully coherent state, not merely a parseable one.
 //
 // The v2/v3 writers below mirror the historical put-side of
@@ -445,14 +445,12 @@ struct ReplayOutcome {
   std::string checkpoint;
 };
 
-ReplayOutcome restore_and_replay(const std::string& bytes, u32 threads,
-                                 bool fast_forward) {
+ReplayOutcome restore_and_replay(const std::string& bytes, bool fast_forward) {
   ReplayOutcome out;
   Simulator sim;
   // Pre-init with the desired execution strategy: restore replaces the
-  // simulated config from the stream but keeps sim_threads/fast_forward.
+  // simulated config from the stream but keeps fast_forward.
   DeviceConfig dc = test::small_device();
-  dc.sim_threads = threads;
   dc.fast_forward = fast_forward;
   EXPECT_EQ(sim.init_simple(dc), Status::Ok);
   std::istringstream is(bytes);
@@ -476,7 +474,7 @@ TEST_P(CheckpointCompatVersions, RestoresAndReplays1kCycles) {
   const std::string bytes = read_fixture(version);
   ASSERT_FALSE(bytes.empty());
 
-  const ReplayOutcome ref = restore_and_replay(bytes, 1, false);
+  const ReplayOutcome ref = restore_and_replay(bytes, false);
   ASSERT_GT(ref.start, 0u) << "fixture restored to cycle 0 — empty state?";
   EXPECT_EQ(ref.end, ref.start + 1000);
   // The fixture froze a busy machine: replay must retire the in-flight
@@ -485,15 +483,11 @@ TEST_P(CheckpointCompatVersions, RestoresAndReplays1kCycles) {
   ASSERT_FALSE(ref.checkpoint.empty());
 
   // Old-version restores must land in a state the *current* engine treats
-  // as canonical: replays agree bit-for-bit across thread counts and
-  // fast-forward settings.
-  for (const u32 threads : {2u, 4u}) {
-    SCOPED_TRACE(std::to_string(threads) + " threads");
-    const ReplayOutcome got = restore_and_replay(bytes, threads, true);
-    EXPECT_EQ(got.end, ref.end);
-    EXPECT_EQ(got.retired_delta, ref.retired_delta);
-    EXPECT_EQ(got.checkpoint, ref.checkpoint);
-  }
+  // as canonical: replays agree bit-for-bit with fast-forward on.
+  const ReplayOutcome got = restore_and_replay(bytes, true);
+  EXPECT_EQ(got.end, ref.end);
+  EXPECT_EQ(got.retired_delta, ref.retired_delta);
+  EXPECT_EQ(got.checkpoint, ref.checkpoint);
 }
 
 TEST_P(CheckpointCompatVersions, ResaveUpgradesToCurrentVersion) {

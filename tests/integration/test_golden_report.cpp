@@ -1,6 +1,6 @@
 // Golden-file regression test for the JSON report.
 //
-// A fixed workload (seeded random access, RAS knobs on, 1 thread) runs to
+// A fixed workload (seeded random access, RAS knobs on) runs to
 // completion and its full JSON report is compared byte-for-byte against
 // tests/golden/report_small_random.json.  Every integer statistic is
 // locked exactly; floating-point values (means, power estimates, link
@@ -45,7 +45,6 @@ std::string mask_floats(const std::string& json) {
 
 std::string render_report() {
   DeviceConfig dc = test::small_device();
-  dc.sim_threads = 1;
   dc.dram_sbe_rate_ppm = 500;
   dc.dram_dbe_rate_ppm = 100;
   dc.scrub_interval_cycles = 256;

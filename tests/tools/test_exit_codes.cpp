@@ -82,6 +82,8 @@ TEST_F(ExitCodes, TwoOnUsageErrors) {
   EXPECT_EQ(run(tool() + " --no-such-flag"), 2);
   EXPECT_EQ(run(tool() + " --requests 10abc"), 2);
   EXPECT_EQ(run(tool() + " --resume"), 2);  // --resume needs a directory
+  // The clock engine runs serially; the old worker-count flag is unknown.
+  EXPECT_EQ(run(tool() + " --preset a --threads 4"), 2);
 }
 
 TEST_F(ExitCodes, ThreeOnWatchdog) {

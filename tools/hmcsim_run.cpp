@@ -25,8 +25,6 @@
 //     --metrics-interval <n> sample queue occupancies/stalls every n cycles
 //     --metrics-csv <file>  write the metric samples as CSV
 //     --seed <n>            generator seed (default 1)
-//     --threads <n>         clock-engine worker threads (0 = all cores;
-//                           results are bit-identical for every value)
 //
 //   RAS / fault injection (see docs/RAS.md):
 //     --dram-sbe-ppm <n>    single-bit DRAM fault odds per access, ppm
@@ -100,7 +98,7 @@
 //     --chaos-plan <file>   arm a deterministic fault campaign (at/every/
 //                           ramp/storm/quiet directives); events fire from
 //                           the clock loop at exact cycles, bit-identical
-//                           for every thread count and with fast-forward
+//                           with fast-forward on or off
 //     --chaos-invariants <n>      run the live invariant suite every n
 //                           cycles (defaults to 1024 when a plan is armed;
 //                           0 disables)
@@ -168,7 +166,6 @@ struct Args {
   std::string metrics_csv;
   u64 metrics_interval = 0;
   u32 seed = 1;
-  i64 threads = -1;  ///< -1: leave the config file's sim_threads value
   bool no_fast_forward = false;  ///< disable the idle-cycle fast path
   // RAS / fault injection; -1 sentinels mean "leave the config file value".
   i64 dram_sbe_ppm = -1;
@@ -228,7 +225,7 @@ void usage(const char* argv0) {
                "       [--policy rr|local] [--json FILE|-] "
                "[--fig5-csv FILE] [--trace-out FILE]\n"
                "       [--chrome-trace FILE] [--metrics-interval N] "
-               "[--metrics-csv FILE] [--seed N] [--threads N] "
+               "[--metrics-csv FILE] [--seed N] "
                "[--no-fast-forward]\n"
                "       [--profile] [--telemetry-interval N] "
                "[--flight-recorder FILE] [--flight-recorder-chrome FILE]\n"
@@ -328,7 +325,6 @@ bool parse_args(int argc, char** argv, Args& args) {
   };
   // RAS / link overrides share the -1 "leave the config value" sentinel.
   static constexpr I64Opt kI64Opts[] = {
-      {"--threads", &Args::threads},
       {"--dram-sbe-ppm", &Args::dram_sbe_ppm},
       {"--dram-dbe-ppm", &Args::dram_dbe_ppm},
       {"--scrub-interval", &Args::scrub_interval},
@@ -683,11 +679,10 @@ int main(int argc, char** argv) {
     if (args.link_fail_threshold >= 0) {
       dc.link_fail_threshold = static_cast<u32>(args.link_fail_threshold);
     }
-    if (args.threads >= 0) dc.sim_threads = static_cast<u32>(args.threads);
     if (args.no_fast_forward) dc.fast_forward = false;
     // Checkpoint cadence: the flag wins over the config file value; a
     // --checkpoint-dir with neither falls back to every 10000 cycles.  An
-    // execution knob like sim_threads — never serialized into checkpoints.
+    // execution knob — never serialized into checkpoints.
     if (args.checkpoint_interval != 0) {
       dc.checkpoint_interval_cycles = static_cast<u32>(
           std::min<u64>(args.checkpoint_interval, 0xffffffffULL));
@@ -807,7 +802,7 @@ int main(int argc, char** argv) {
   // ---- resume ---------------------------------------------------------------
   // Before any sinks attach: a restore rebuilds the device array, so wedge
   // injection and observers must come after it.  The restored checkpoint
-  // keeps this invocation's execution knobs (threads, fast-forward, cadence).
+  // keeps this invocation's execution knobs (fast-forward, cadence).
   u64 resumed_gen = 0;
   bool resumed = false;
   std::string resumed_host_blob;
