@@ -4,6 +4,7 @@
 #include "capi/hmc_sim.h"
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <ostream>
@@ -380,58 +381,17 @@ int hmcsim_get_stat(struct hmcsim_t* hmc, uint32_t dev, const char* name,
   if (dev >= shim->sim.num_devices()) return -1;
   const DeviceStats& s = shim->sim.stats(dev);
   const std::string_view key{name};
-  if (key == "reads") *value = s.reads;
-  else if (key == "writes") *value = s.writes;
-  else if (key == "atomics") *value = s.atomics;
-  else if (key == "mode_ops") *value = s.mode_ops;
-  else if (key == "custom_ops") *value = s.custom_ops;
-  else if (key == "responses") *value = s.responses;
-  else if (key == "error_responses") *value = s.error_responses;
-  else if (key == "bank_conflicts") *value = s.bank_conflicts;
-  else if (key == "xbar_rqst_stalls") *value = s.xbar_rqst_stalls;
-  else if (key == "xbar_rsp_stalls") *value = s.xbar_rsp_stalls;
-  else if (key == "vault_rsp_stalls") *value = s.vault_rsp_stalls;
-  else if (key == "latency_penalties") *value = s.latency_penalties;
-  else if (key == "route_hops") *value = s.route_hops;
-  else if (key == "misroutes") *value = s.misroutes;
-  else if (key == "sends") *value = s.sends;
-  else if (key == "send_stalls") *value = s.send_stalls;
-  else if (key == "recvs") *value = s.recvs;
-  else if (key == "flow_packets") *value = s.flow_packets;
-  else if (key == "bytes_read") *value = s.bytes_read;
-  else if (key == "bytes_written") *value = s.bytes_written;
-  else if (key == "link_errors") *value = s.link_errors;
-  else if (key == "link_retries") *value = s.link_retries;
-  else if (key == "refreshes") *value = s.refreshes;
-  else if (key == "row_hits") *value = s.row_hits;
-  else if (key == "row_misses") *value = s.row_misses;
-  else if (key == "dram_sbes") *value = s.dram_sbes;
-  else if (key == "dram_dbes") *value = s.dram_dbes;
-  else if (key == "scrub_steps") *value = s.scrub_steps;
-  else if (key == "scrub_corrections") *value = s.scrub_corrections;
-  else if (key == "scrub_uncorrectables") *value = s.scrub_uncorrectables;
-  else if (key == "vault_failures") *value = s.vault_failures;
-  else if (key == "vault_remaps") *value = s.vault_remaps;
-  else if (key == "degraded_drops") *value = s.degraded_drops;
-  else if (key == "link_crc_errors") *value = s.link_crc_errors;
-  else if (key == "link_seq_errors") *value = s.link_seq_errors;
-  else if (key == "link_abort_entries") *value = s.link_abort_entries;
-  else if (key == "link_irtry_tx") *value = s.link_irtry_tx;
-  else if (key == "link_irtry_rx") *value = s.link_irtry_rx;
-  else if (key == "link_pret_tx") *value = s.link_pret_tx;
-  else if (key == "link_tret_tx") *value = s.link_tret_tx;
-  else if (key == "link_replayed_flits") *value = s.link_replayed_flits;
-  else if (key == "link_token_stalls") *value = s.link_token_stalls;
-  else if (key == "link_retrain_cycles") *value = s.link_retrain_cycles;
-  else if (key == "link_failures") *value = s.link_failures;
-  else if (key == "link_tokens_debited") *value = s.link_tokens_debited;
-  else if (key == "link_tokens_returned") *value = s.link_tokens_returned;
-  else if (key == "pcm_write_throttle_stalls") {
-    *value = s.pcm_write_throttle_stalls;
+  if (key == "cycles_skipped") {
+    *value = shim->sim.cycles_skipped();
+    return 0;
   }
-  else if (key == "cycles_skipped") *value = shim->sim.cycles_skipped();
-  else return -1;
-  return 0;
+  for (const DeviceCounter& c : kDeviceCounters) {
+    if (key == c.name) {
+      *value = s.*c.field;
+      return 0;
+    }
+  }
+  return -1;
 }
 
 int hmcsim_get_stats(struct hmcsim_t* hmc, uint32_t dev,
@@ -440,54 +400,15 @@ int hmcsim_get_stats(struct hmcsim_t* hmc, uint32_t dev,
   if (shim == nullptr || out == nullptr) return -1;
   if (!ok(shim->freeze())) return -1;
   if (dev >= shim->sim.num_devices()) return -1;
+  // hmcsim_stats lists the counters in kDeviceCounters order.
+  static_assert(sizeof(hmcsim_stats) ==
+                sizeof(u64) * std::size(kDeviceCounters));
   const DeviceStats& s = shim->sim.stats(dev);
-  out->reads = s.reads;
-  out->writes = s.writes;
-  out->atomics = s.atomics;
-  out->mode_ops = s.mode_ops;
-  out->custom_ops = s.custom_ops;
-  out->bytes_read = s.bytes_read;
-  out->bytes_written = s.bytes_written;
-  out->responses = s.responses;
-  out->error_responses = s.error_responses;
-  out->bank_conflicts = s.bank_conflicts;
-  out->xbar_rqst_stalls = s.xbar_rqst_stalls;
-  out->xbar_rsp_stalls = s.xbar_rsp_stalls;
-  out->vault_rsp_stalls = s.vault_rsp_stalls;
-  out->latency_penalties = s.latency_penalties;
-  out->route_hops = s.route_hops;
-  out->misroutes = s.misroutes;
-  out->link_errors = s.link_errors;
-  out->link_retries = s.link_retries;
-  out->refreshes = s.refreshes;
-  out->row_hits = s.row_hits;
-  out->row_misses = s.row_misses;
-  out->sends = s.sends;
-  out->send_stalls = s.send_stalls;
-  out->recvs = s.recvs;
-  out->flow_packets = s.flow_packets;
-  out->dram_sbes = s.dram_sbes;
-  out->dram_dbes = s.dram_dbes;
-  out->scrub_steps = s.scrub_steps;
-  out->scrub_corrections = s.scrub_corrections;
-  out->scrub_uncorrectables = s.scrub_uncorrectables;
-  out->vault_failures = s.vault_failures;
-  out->vault_remaps = s.vault_remaps;
-  out->degraded_drops = s.degraded_drops;
-  out->link_crc_errors = s.link_crc_errors;
-  out->link_seq_errors = s.link_seq_errors;
-  out->link_abort_entries = s.link_abort_entries;
-  out->link_irtry_tx = s.link_irtry_tx;
-  out->link_irtry_rx = s.link_irtry_rx;
-  out->link_pret_tx = s.link_pret_tx;
-  out->link_tret_tx = s.link_tret_tx;
-  out->link_replayed_flits = s.link_replayed_flits;
-  out->link_token_stalls = s.link_token_stalls;
-  out->link_retrain_cycles = s.link_retrain_cycles;
-  out->link_failures = s.link_failures;
-  out->link_tokens_debited = s.link_tokens_debited;
-  out->link_tokens_returned = s.link_tokens_returned;
-  out->pcm_write_throttle_stalls = s.pcm_write_throttle_stalls;
+  u64 words[std::size(kDeviceCounters)];
+  for (usize i = 0; i < std::size(words); ++i) {
+    words[i] = s.*kDeviceCounters[i].field;
+  }
+  std::memcpy(out, words, sizeof words);
   return 0;
 }
 

@@ -41,6 +41,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/config_file.hpp"
 #include "core/simulator.hpp"
 #include "io/atomic_file.hpp"
 #include "packet/crc32.hpp"
@@ -109,7 +110,7 @@ constexpr u32 kMinVersion = 2;
 // registers in version 5.
 constexpr usize kV2RegCount = 43;
 constexpr usize kV3RegCount = 49;
-// DeviceStats fields in version 2 (through flow_packets); version 3
+// kDeviceCounters rows in version 2 (through flow_packets); version 3
 // appended the 8 RAS counters, version 5 the 13 link-layer counters,
 // version 7 the backend counter.
 constexpr usize kV2StatsCount = 25;
@@ -337,105 +338,26 @@ bool get_response_queue(std::istream& is, BoundedQueue<ResponseEntry>& q) {
 }
 
 void put_stats(std::ostream& os, const DeviceStats& s) {
-  const u64 fields[] = {s.reads, s.writes, s.atomics, s.mode_ops,
-                        s.custom_ops, s.bytes_read, s.bytes_written,
-                        s.responses, s.error_responses, s.bank_conflicts,
-                        s.xbar_rqst_stalls, s.xbar_rsp_stalls,
-                        s.vault_rsp_stalls, s.latency_penalties,
-                        s.route_hops, s.misroutes, s.link_errors, s.link_retries, s.refreshes, s.row_hits, s.row_misses, s.sends,
-                        s.send_stalls,
-                        s.recvs, s.flow_packets,
-                        s.dram_sbes, s.dram_dbes, s.scrub_steps,
-                        s.scrub_corrections, s.scrub_uncorrectables,
-                        s.vault_failures, s.vault_remaps, s.degraded_drops,
-                        s.link_crc_errors, s.link_seq_errors,
-                        s.link_abort_entries, s.link_irtry_tx,
-                        s.link_irtry_rx, s.link_pret_tx, s.link_tret_tx,
-                        s.link_replayed_flits, s.link_token_stalls,
-                        s.link_retrain_cycles, s.link_failures,
-                        s.link_tokens_debited, s.link_tokens_returned,
-                        s.pcm_write_throttle_stalls};
-  for (const u64 f : fields) put_u64(os, f);
+  for (const DeviceCounter& c : kDeviceCounters) put_u64(os, s.*c.field);
 }
 
 bool get_stats(std::istream& is, DeviceStats& s, u32 version) {
-  u64* fields[] = {&s.reads, &s.writes, &s.atomics, &s.mode_ops,
-                   &s.custom_ops, &s.bytes_read, &s.bytes_written,
-                   &s.responses, &s.error_responses, &s.bank_conflicts,
-                   &s.xbar_rqst_stalls, &s.xbar_rsp_stalls,
-                   &s.vault_rsp_stalls, &s.latency_penalties, &s.route_hops,
-                   &s.misroutes, &s.link_errors, &s.link_retries, &s.refreshes, &s.row_hits,
-                   &s.row_misses, &s.sends,
-                   &s.send_stalls,
-                   &s.recvs, &s.flow_packets,
-                   &s.dram_sbes, &s.dram_dbes, &s.scrub_steps,
-                   &s.scrub_corrections, &s.scrub_uncorrectables,
-                   &s.vault_failures, &s.vault_remaps, &s.degraded_drops,
-                   &s.link_crc_errors, &s.link_seq_errors,
-                   &s.link_abort_entries, &s.link_irtry_tx, &s.link_irtry_rx,
-                   &s.link_pret_tx, &s.link_tret_tx, &s.link_replayed_flits,
-                   &s.link_token_stalls, &s.link_retrain_cycles,
-                   &s.link_failures, &s.link_tokens_debited,
-                   &s.link_tokens_returned, &s.pcm_write_throttle_stalls};
-  const usize count = version >= 7   ? std::size(fields)
+  const usize count = version >= 7   ? std::size(kDeviceCounters)
                       : version >= 5 ? kV5StatsCount
                       : version >= 3 ? kV3StatsCount
                                      : kV2StatsCount;
   for (usize i = 0; i < count; ++i) {
-    if (!get_u64(is, *fields[i])) return false;
+    if (!get_u64(is, s.*kDeviceCounters[i].field)) return false;
   }
   return true;
 }
 
+// The CFG section is the knob table's serialized rows in order, one u64
+// word each, then (since v7) the per-vault backend override list.
 void put_device_config(std::ostream& os, const DeviceConfig& c) {
-  put_u32(os, c.num_links);
-  put_u32(os, c.banks_per_vault);
-  put_u32(os, c.drams_per_bank);
-  put_u64(os, c.xbar_depth);
-  put_u64(os, c.vault_depth);
-  put_u64(os, c.capacity_bytes);
-  put_u8(os, static_cast<u8>(c.map_mode));
-  put_u64(os, c.max_block_bytes);
-  put_u32(os, c.bank_busy_cycles);
-  put_u32(os, c.xbar_flits_per_cycle);
-  put_u32(os, c.vault_drain_limit);
-  put_u32(os, c.nonlocal_penalty_cycles);
-  put_u32(os, c.conflict_window);
-  put_u8(os, static_cast<u8>(c.vault_schedule));
-  put_u32(os, c.link_error_rate_ppm);
-  put_u64(os, c.fault_seed);
-  put_u32(os, c.link_retry_limit);
-  put_u32(os, c.refresh_interval_cycles);
-  put_u32(os, c.refresh_busy_cycles);
-  put_u8(os, static_cast<u8>(c.row_policy));
-  put_u32(os, c.row_hit_cycles);
-  put_u32(os, c.row_miss_cycles);
-  put_u8(os, c.model_data ? 1 : 0);
-  put_u32(os, c.dram_sbe_rate_ppm);
-  put_u32(os, c.dram_dbe_rate_ppm);
-  put_u32(os, c.scrub_interval_cycles);
-  put_u64(os, c.scrub_window_bytes);
-  put_u32(os, c.vault_fail_threshold);
-  put_u64(os, c.failed_vault_mask);
-  put_u8(os, c.vault_remap ? 1 : 0);
-  put_u32(os, c.watchdog_cycles);
-  put_u8(os, c.link_protocol ? 1 : 0);
-  put_u32(os, c.link_tokens);
-  put_u32(os, c.link_retry_buffer_flits);
-  put_u32(os, c.link_retry_latency);
-  put_u32(os, c.link_error_burst_len);
-  put_u32(os, c.link_stuck_interval_cycles);
-  put_u32(os, c.link_stuck_window_cycles);
-  put_u32(os, c.link_fail_threshold);
-  // v7: timing-backend selection and parameters.
-  put_u8(os, static_cast<u8>(c.timing_backend));
-  put_u32(os, c.ddr_tcl);
-  put_u32(os, c.ddr_trcd);
-  put_u32(os, c.ddr_trp);
-  put_u32(os, c.ddr_tras);
-  put_u32(os, c.pcm_read_cycles);
-  put_u32(os, c.pcm_write_cycles);
-  put_u32(os, c.pcm_write_gap_cycles);
+  for (const ConfigKnob& k : config_knobs()) {
+    if (k.since != 0) put_u64(os, k.get(c));
+  }
   put_u64(os, c.vault_backends.size());
   for (const auto& [vault, backend] : c.vault_backends) {
     put_u32(os, vault);
@@ -443,93 +365,31 @@ void put_device_config(std::ostream& os, const DeviceConfig& c) {
   }
 }
 
-bool get_timing_backend(std::istream& is, TimingBackend& out) {
-  u8 kind = 0;
-  if (!get_u8(is, kind) || kind > static_cast<u8>(TimingBackend::PcmLike)) {
-    return false;
-  }
-  out = static_cast<TimingBackend>(kind);
-  return true;
-}
-
+// Rows a version predates keep their defaults (see the version notes at
+// the top of this file).
 bool get_device_config(std::istream& is, DeviceConfig& c, u32 version) {
-  u64 xbar = 0, vault = 0;
-  u8 map_mode = 0, schedule = 0, model_data = 0, row_policy = 0;
-  if (!get_u32(is, c.num_links) || !get_u32(is, c.banks_per_vault) ||
-      !get_u32(is, c.drams_per_bank) || !get_u64(is, xbar) ||
-      !get_u64(is, vault) || !get_u64(is, c.capacity_bytes) ||
-      !get_u8(is, map_mode) || !get_u64(is, c.max_block_bytes) ||
-      !get_u32(is, c.bank_busy_cycles) ||
-      !get_u32(is, c.xbar_flits_per_cycle) ||
-      !get_u32(is, c.vault_drain_limit) ||
-      !get_u32(is, c.nonlocal_penalty_cycles) ||
-      !get_u32(is, c.conflict_window) || !get_u8(is, schedule) ||
-      !get_u32(is, c.link_error_rate_ppm) || !get_u64(is, c.fault_seed) ||
-      !get_u32(is, c.link_retry_limit) ||
-      !get_u32(is, c.refresh_interval_cycles) ||
-      !get_u32(is, c.refresh_busy_cycles) || !get_u8(is, row_policy) ||
-      !get_u32(is, c.row_hit_cycles) || !get_u32(is, c.row_miss_cycles) ||
-      !get_u8(is, model_data)) {
-    return false;
+  for (const ConfigKnob& k : config_knobs()) {
+    if (k.since == 0 || k.since > version) continue;
+    // Booleans travel as u8 words; an enum word must index a name.
+    const u64 limit = k.kind == ConfigKnob::Kind::Bool ? 0xff : k.max;
+    u64 word = 0;
+    if (!get_u64(is, word) || word > limit) return false;
+    k.set(c, word);
   }
-  u8 vault_remap = 0;
-  if (version >= 3) {
-    // Version 2 predates RAS; its restores keep the (all-off) defaults.
-    if (!get_u32(is, c.dram_sbe_rate_ppm) ||
-        !get_u32(is, c.dram_dbe_rate_ppm) ||
-        !get_u32(is, c.scrub_interval_cycles) ||
-        !get_u64(is, c.scrub_window_bytes) ||
-        !get_u32(is, c.vault_fail_threshold) ||
-        !get_u64(is, c.failed_vault_mask) || !get_u8(is, vault_remap) ||
-        !get_u32(is, c.watchdog_cycles)) {
+  if (version < 7) return true;
+  u64 overrides = 0;
+  if (!get_u64(is, overrides) || overrides > kMaxVaultOverrides) return false;
+  c.vault_backends.clear();
+  c.vault_backends.reserve(static_cast<usize>(overrides));
+  for (u64 i = 0; i < overrides; ++i) {
+    u32 vault = 0;
+    u8 backend = 0;
+    if (!get_u32(is, vault) || !get_u8(is, backend) ||
+        backend >= std::size(kTimingBackendNames)) {
       return false;
     }
-    c.vault_remap = vault_remap != 0;
+    c.vault_backends.emplace_back(vault, static_cast<TimingBackend>(backend));
   }
-  if (version >= 5) {
-    // Pre-v5 checkpoints predate the link protocol; restores keep it off
-    // with quiescent per-link state.
-    u8 link_protocol = 0;
-    if (!get_u8(is, link_protocol) || !get_u32(is, c.link_tokens) ||
-        !get_u32(is, c.link_retry_buffer_flits) ||
-        !get_u32(is, c.link_retry_latency) ||
-        !get_u32(is, c.link_error_burst_len) ||
-        !get_u32(is, c.link_stuck_interval_cycles) ||
-        !get_u32(is, c.link_stuck_window_cycles) ||
-        !get_u32(is, c.link_fail_threshold)) {
-      return false;
-    }
-    c.link_protocol = link_protocol != 0;
-  }
-  if (version >= 7) {
-    // Pre-v7 checkpoints predate pluggable backends; restores keep the
-    // default hmc_dram selection and parameter defaults.
-    u64 overrides = 0;
-    if (!get_timing_backend(is, c.timing_backend) ||
-        !get_u32(is, c.ddr_tcl) || !get_u32(is, c.ddr_trcd) ||
-        !get_u32(is, c.ddr_trp) || !get_u32(is, c.ddr_tras) ||
-        !get_u32(is, c.pcm_read_cycles) || !get_u32(is, c.pcm_write_cycles) ||
-        !get_u32(is, c.pcm_write_gap_cycles) || !get_u64(is, overrides) ||
-        overrides > kMaxVaultOverrides) {
-      return false;
-    }
-    c.vault_backends.clear();
-    c.vault_backends.reserve(static_cast<usize>(overrides));
-    for (u64 i = 0; i < overrides; ++i) {
-      u32 vault = 0;
-      TimingBackend backend;
-      if (!get_u32(is, vault) || !get_timing_backend(is, backend)) {
-        return false;
-      }
-      c.vault_backends.emplace_back(vault, backend);
-    }
-  }
-  c.xbar_depth = static_cast<usize>(xbar);
-  c.vault_depth = static_cast<usize>(vault);
-  c.map_mode = static_cast<AddrMapMode>(map_mode);
-  c.vault_schedule = static_cast<VaultSchedule>(schedule);
-  c.row_policy = static_cast<RowPolicy>(row_policy);
-  c.model_data = model_data != 0;
   return true;
 }
 
@@ -1013,8 +873,12 @@ Status Simulator::restore_checkpoint_legacy_(std::istream& is, u32 version,
   SimConfig config;
   if (!get_u32(is, config.num_devices) ||
       !get_device_config(is, config.device, version)) {
-    return fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                "config block");
+    // A word that was read but failed its range check leaves the stream
+    // good; anything else ran out of bytes.
+    return is ? fail(Status::InvalidConfig,
+                     CheckpointErrorCode::BadFieldValue, "config block")
+              : fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
+                     "config block");
   }
   // Validate before sizing anything from file-supplied values: a hostile
   // device count must not reach the Topology/Device allocators.

@@ -1,5 +1,6 @@
 #include "core/config.hpp"
 
+#include <iterator>
 #include <sstream>
 
 #include "common/bitops.hpp"
@@ -7,20 +8,17 @@
 namespace hmcsim {
 
 const char* to_string(TimingBackend backend) {
-  switch (backend) {
-    case TimingBackend::HmcDram: return "hmc_dram";
-    case TimingBackend::GenericDdr: return "generic_ddr";
-    case TimingBackend::PcmLike: return "pcm_like";
-  }
-  return "hmc_dram";
+  const auto i = static_cast<usize>(backend);
+  return kTimingBackendNames[i < std::size(kTimingBackendNames) ? i : 0].data();
 }
 
 bool timing_backend_from_string(std::string_view name, TimingBackend* out) {
-  if (name == "hmc_dram") *out = TimingBackend::HmcDram;
-  else if (name == "generic_ddr") *out = TimingBackend::GenericDdr;
-  else if (name == "pcm_like") *out = TimingBackend::PcmLike;
-  else return false;
-  return true;
+  for (usize i = 0; i < std::size(kTimingBackendNames); ++i) {
+    if (name != kTimingBackendNames[i]) continue;
+    *out = static_cast<TimingBackend>(i);
+    return true;
+  }
+  return false;
 }
 
 bool DeviceConfig::uses_backend(TimingBackend backend) const {

@@ -58,6 +58,10 @@ enum class TimingBackend : u8 {
   PcmLike,     ///< asymmetric read/write latency + write throttling
 };
 
+/// Config-file / CLI spellings of the backends, indexed by enumerator.
+inline constexpr std::string_view kTimingBackendNames[] = {
+    "hmc_dram", "generic_ddr", "pcm_like"};
+
 /// Canonical config-file / CLI spelling of a backend ("hmc_dram",
 /// "generic_ddr", "pcm_like").
 const char* to_string(TimingBackend backend);

@@ -2,13 +2,106 @@
 
 #include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "io/bounded_line.hpp"
 
 namespace hmcsim {
 namespace {
+
+constexpr u64 kU32Max = std::numeric_limits<u32>::max();
+
+constexpr std::string_view kMapModeNames[] = {"low_interleave", "bank_first",
+                                              "linear"};
+constexpr std::string_view kScheduleNames[] = {"bank_ready", "strict_fifo"};
+constexpr std::string_view kRowPolicyNames[] = {"closed_page", "open_page"};
+
+/// A table row for DeviceConfig member `Field`; the kind and width follow
+/// from the member's type.
+template <auto Field>
+constexpr ConfigKnob knob(std::string_view key, u32 since,
+                          std::span<const std::string_view> names = {},
+                          u8 shift = 0) {
+  using T = std::remove_cvref_t<decltype(std::declval<DeviceConfig&>().*Field)>;
+  ConfigKnob k{key, ConfigKnob::Kind::Number, 0, since, names, shift,
+               [](const DeviceConfig& dc) {
+                 return static_cast<u64>(dc.*Field);
+               },
+               [](DeviceConfig& dc, u64 v) { dc.*Field = static_cast<T>(v); }};
+  if constexpr (std::is_same_v<T, bool>) {
+    k.kind = ConfigKnob::Kind::Bool;
+    k.max = 1;
+  } else if constexpr (std::is_enum_v<T>) {
+    k.kind = ConfigKnob::Kind::Enum;
+    k.max = names.size() - 1;
+  } else {
+    k.max = std::numeric_limits<T>::max();
+  }
+  return k;
+}
+
+using DC = DeviceConfig;
+
+// Rows follow put_device_config order: the fields every readable
+// checkpoint (v2 on) carries, then the v3 RAS knobs, the v5 link-protocol
+// knobs and the v7 backend knobs (v7 writes the vault_backend list after
+// the last row).  Execution knobs come last and are never serialized.
+constexpr ConfigKnob kKnobs[] = {
+    knob<&DC::num_links>("num_links", 2),
+    knob<&DC::banks_per_vault>("banks_per_vault", 2),
+    knob<&DC::drams_per_bank>("drams_per_bank", 2),
+    knob<&DC::xbar_depth>("xbar_depth", 2),
+    knob<&DC::vault_depth>("vault_depth", 2),
+    knob<&DC::capacity_bytes>("capacity_gb", 2, {}, 30),
+    knob<&DC::map_mode>("map_mode", 2, kMapModeNames),
+    knob<&DC::max_block_bytes>("max_block_bytes", 2),
+    knob<&DC::bank_busy_cycles>("bank_busy_cycles", 2),
+    knob<&DC::xbar_flits_per_cycle>("xbar_flits_per_cycle", 2),
+    knob<&DC::vault_drain_limit>("vault_drain_limit", 2),
+    knob<&DC::nonlocal_penalty_cycles>("nonlocal_penalty_cycles", 2),
+    knob<&DC::conflict_window>("conflict_window", 2),
+    knob<&DC::vault_schedule>("vault_schedule", 2, kScheduleNames),
+    knob<&DC::link_error_rate_ppm>("link_error_rate_ppm", 2),
+    knob<&DC::fault_seed>("fault_seed", 2),
+    knob<&DC::link_retry_limit>("link_retry_limit", 2),
+    knob<&DC::refresh_interval_cycles>("refresh_interval_cycles", 2),
+    knob<&DC::refresh_busy_cycles>("refresh_busy_cycles", 2),
+    knob<&DC::row_policy>("row_policy", 2, kRowPolicyNames),
+    knob<&DC::row_hit_cycles>("row_hit_cycles", 2),
+    knob<&DC::row_miss_cycles>("row_miss_cycles", 2),
+    knob<&DC::model_data>("model_data", 2),
+    knob<&DC::dram_sbe_rate_ppm>("dram_sbe_rate_ppm", 3),
+    knob<&DC::dram_dbe_rate_ppm>("dram_dbe_rate_ppm", 3),
+    knob<&DC::scrub_interval_cycles>("scrub_interval_cycles", 3),
+    knob<&DC::scrub_window_bytes>("scrub_window_bytes", 3),
+    knob<&DC::vault_fail_threshold>("vault_fail_threshold", 3),
+    knob<&DC::failed_vault_mask>("failed_vault_mask", 3),
+    knob<&DC::vault_remap>("vault_remap", 3),
+    knob<&DC::watchdog_cycles>("watchdog_cycles", 3),
+    knob<&DC::link_protocol>("link_protocol", 5),
+    knob<&DC::link_tokens>("link_tokens", 5),
+    knob<&DC::link_retry_buffer_flits>("link_retry_buffer_flits", 5),
+    knob<&DC::link_retry_latency>("link_retry_latency", 5),
+    knob<&DC::link_error_burst_len>("link_error_burst_len", 5),
+    knob<&DC::link_stuck_interval_cycles>("link_stuck_interval_cycles", 5),
+    knob<&DC::link_stuck_window_cycles>("link_stuck_window_cycles", 5),
+    knob<&DC::link_fail_threshold>("link_fail_threshold", 5),
+    knob<&DC::timing_backend>("timing_backend", 7, kTimingBackendNames),
+    knob<&DC::ddr_tcl>("ddr_tcl", 7),
+    knob<&DC::ddr_trcd>("ddr_trcd", 7),
+    knob<&DC::ddr_trp>("ddr_trp", 7),
+    knob<&DC::ddr_tras>("ddr_tras", 7),
+    knob<&DC::pcm_read_cycles>("pcm_read_cycles", 7),
+    knob<&DC::pcm_write_cycles>("pcm_write_cycles", 7),
+    knob<&DC::pcm_write_gap_cycles>("pcm_write_gap_cycles", 7),
+    knob<&DC::fast_forward>("fast_forward", 0),
+    knob<&DC::checkpoint_interval_cycles>("checkpoint_interval_cycles", 0),
+    knob<&DC::chaos_invariants>("chaos_invariants", 0),
+};
 
 std::string trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t\r");
@@ -29,6 +122,45 @@ ConfigParseResult fail(usize line, const std::string& message) {
   ConfigParseResult r;
   r.error = std::to_string(line) + ": " + message;
   return r;
+}
+
+std::string too_large(std::string_view key, u64 max) {
+  return std::string(key) + " must be at most " + std::to_string(max);
+}
+
+// Store one file value: base-10 numbers, true/false/1/0 booleans, enum
+// names.  Returns the diagnostic, empty on success.
+std::string parse_knob(DeviceConfig& dc, const ConfigKnob& knob,
+                       const std::string& value) {
+  const std::string key(knob.key);
+  switch (knob.kind) {
+    case ConfigKnob::Kind::Bool:
+      if (value != "true" && value != "1" && value != "false" &&
+          value != "0") {
+        return key + " must be true/false";
+      }
+      knob.set(dc, value == "true" || value == "1");
+      return {};
+    case ConfigKnob::Kind::Enum: {
+      std::string choices;
+      for (usize i = 0; i < knob.names.size(); ++i) {
+        if (value == knob.names[i]) {
+          knob.set(dc, i);
+          return {};
+        }
+        choices += (i == 0 ? "" : "/") + std::string(knob.names[i]);
+      }
+      return key + " must be " + choices + ", got '" + value + "'";
+    }
+    case ConfigKnob::Kind::Number:
+      break;
+  }
+  u64 number = 0;
+  if (!parse_number(value, number)) return key + " needs a number";
+  if (!store_knob(dc, knob, number)) {
+    return too_large(key, knob.max >> knob.shift);
+  }
+  return {};
 }
 
 }  // namespace
@@ -63,205 +195,18 @@ ConfigParseResult parse_config(std::istream& in) {
     }
 
     DeviceConfig& dc = config.device;
-    u64 number = 0;
-    const bool is_number = parse_number(value, number);
-
     if (key == "num_devices") {
-      if (!is_number) return fail(line_no, "num_devices needs a number");
+      u64 number = 0;
+      if (!parse_number(value, number)) {
+        return fail(line_no, "num_devices needs a number");
+      }
+      if (number > kU32Max) {
+        return fail(line_no, too_large("num_devices", kU32Max));
+      }
       config.num_devices = static_cast<u32>(number);
-    } else if (key == "num_links") {
-      if (!is_number) return fail(line_no, "num_links needs a number");
-      dc.num_links = static_cast<u32>(number);
-    } else if (key == "banks_per_vault") {
-      if (!is_number) return fail(line_no, "banks_per_vault needs a number");
-      dc.banks_per_vault = static_cast<u32>(number);
-    } else if (key == "drams_per_bank") {
-      if (!is_number) return fail(line_no, "drams_per_bank needs a number");
-      dc.drams_per_bank = static_cast<u32>(number);
-    } else if (key == "xbar_depth") {
-      if (!is_number) return fail(line_no, "xbar_depth needs a number");
-      dc.xbar_depth = static_cast<usize>(number);
-    } else if (key == "vault_depth") {
-      if (!is_number) return fail(line_no, "vault_depth needs a number");
-      dc.vault_depth = static_cast<usize>(number);
-    } else if (key == "capacity_gb") {
-      if (!is_number) return fail(line_no, "capacity_gb needs a number");
-      dc.capacity_bytes = number << 30;
-    } else if (key == "max_block_bytes") {
-      if (!is_number) return fail(line_no, "max_block_bytes needs a number");
-      dc.max_block_bytes = number;
-    } else if (key == "bank_busy_cycles") {
-      if (!is_number) return fail(line_no, "bank_busy_cycles needs a number");
-      dc.bank_busy_cycles = static_cast<u32>(number);
-    } else if (key == "xbar_flits_per_cycle") {
-      if (!is_number) {
-        return fail(line_no, "xbar_flits_per_cycle needs a number");
-      }
-      dc.xbar_flits_per_cycle = static_cast<u32>(number);
-    } else if (key == "vault_drain_limit") {
-      if (!is_number) return fail(line_no, "vault_drain_limit needs a number");
-      dc.vault_drain_limit = static_cast<u32>(number);
-    } else if (key == "nonlocal_penalty_cycles") {
-      if (!is_number) {
-        return fail(line_no, "nonlocal_penalty_cycles needs a number");
-      }
-      dc.nonlocal_penalty_cycles = static_cast<u32>(number);
-    } else if (key == "conflict_window") {
-      if (!is_number) return fail(line_no, "conflict_window needs a number");
-      dc.conflict_window = static_cast<u32>(number);
-    } else if (key == "link_error_rate_ppm") {
-      if (!is_number) {
-        return fail(line_no, "link_error_rate_ppm needs a number");
-      }
-      dc.link_error_rate_ppm = static_cast<u32>(number);
-    } else if (key == "fault_seed") {
-      if (!is_number) return fail(line_no, "fault_seed needs a number");
-      dc.fault_seed = number;
-    } else if (key == "link_retry_limit") {
-      if (!is_number) return fail(line_no, "link_retry_limit needs a number");
-      dc.link_retry_limit = static_cast<u32>(number);
-    } else if (key == "link_protocol") {
-      if (value == "true" || value == "1") {
-        dc.link_protocol = true;
-      } else if (value == "false" || value == "0") {
-        dc.link_protocol = false;
-      } else {
-        return fail(line_no, "link_protocol must be true/false");
-      }
-    } else if (key == "link_tokens") {
-      if (!is_number) return fail(line_no, "link_tokens needs a number");
-      dc.link_tokens = static_cast<u32>(number);
-    } else if (key == "link_retry_buffer_flits") {
-      if (!is_number) {
-        return fail(line_no, "link_retry_buffer_flits needs a number");
-      }
-      dc.link_retry_buffer_flits = static_cast<u32>(number);
-    } else if (key == "link_retry_latency") {
-      if (!is_number) {
-        return fail(line_no, "link_retry_latency needs a number");
-      }
-      dc.link_retry_latency = static_cast<u32>(number);
-    } else if (key == "link_error_burst_len") {
-      if (!is_number) {
-        return fail(line_no, "link_error_burst_len needs a number");
-      }
-      dc.link_error_burst_len = static_cast<u32>(number);
-    } else if (key == "link_stuck_interval_cycles") {
-      if (!is_number) {
-        return fail(line_no, "link_stuck_interval_cycles needs a number");
-      }
-      dc.link_stuck_interval_cycles = static_cast<u32>(number);
-    } else if (key == "link_stuck_window_cycles") {
-      if (!is_number) {
-        return fail(line_no, "link_stuck_window_cycles needs a number");
-      }
-      dc.link_stuck_window_cycles = static_cast<u32>(number);
-    } else if (key == "link_fail_threshold") {
-      if (!is_number) {
-        return fail(line_no, "link_fail_threshold needs a number");
-      }
-      dc.link_fail_threshold = static_cast<u32>(number);
-    } else if (key == "dram_sbe_rate_ppm") {
-      if (!is_number) return fail(line_no, "dram_sbe_rate_ppm needs a number");
-      dc.dram_sbe_rate_ppm = static_cast<u32>(number);
-    } else if (key == "dram_dbe_rate_ppm") {
-      if (!is_number) return fail(line_no, "dram_dbe_rate_ppm needs a number");
-      dc.dram_dbe_rate_ppm = static_cast<u32>(number);
-    } else if (key == "scrub_interval_cycles") {
-      if (!is_number) {
-        return fail(line_no, "scrub_interval_cycles needs a number");
-      }
-      dc.scrub_interval_cycles = static_cast<u32>(number);
-    } else if (key == "scrub_window_bytes") {
-      if (!is_number) return fail(line_no, "scrub_window_bytes needs a number");
-      dc.scrub_window_bytes = number;
-    } else if (key == "vault_fail_threshold") {
-      if (!is_number) {
-        return fail(line_no, "vault_fail_threshold needs a number");
-      }
-      dc.vault_fail_threshold = static_cast<u32>(number);
-    } else if (key == "failed_vault_mask") {
-      if (!is_number) return fail(line_no, "failed_vault_mask needs a number");
-      dc.failed_vault_mask = number;
-    } else if (key == "vault_remap") {
-      if (value == "true" || value == "1") {
-        dc.vault_remap = true;
-      } else if (value == "false" || value == "0") {
-        dc.vault_remap = false;
-      } else {
-        return fail(line_no, "vault_remap must be true/false");
-      }
-    } else if (key == "watchdog_cycles") {
-      if (!is_number) return fail(line_no, "watchdog_cycles needs a number");
-      dc.watchdog_cycles = static_cast<u32>(number);
-    } else if (key == "checkpoint_interval_cycles") {
-      if (!is_number) {
-        return fail(line_no, "checkpoint_interval_cycles needs a number");
-      }
-      dc.checkpoint_interval_cycles = static_cast<u32>(number);
-    } else if (key == "chaos_invariants") {
-      if (!is_number) {
-        return fail(line_no, "chaos_invariants needs a number");
-      }
-      dc.chaos_invariants = static_cast<u32>(number);
-    } else if (key == "refresh_interval_cycles") {
-      if (!is_number) {
-        return fail(line_no, "refresh_interval_cycles needs a number");
-      }
-      dc.refresh_interval_cycles = static_cast<u32>(number);
-    } else if (key == "refresh_busy_cycles") {
-      if (!is_number) {
-        return fail(line_no, "refresh_busy_cycles needs a number");
-      }
-      dc.refresh_busy_cycles = static_cast<u32>(number);
-    } else if (key == "row_policy") {
-      if (value == "closed_page") {
-        dc.row_policy = RowPolicy::ClosedPage;
-      } else if (value == "open_page") {
-        dc.row_policy = RowPolicy::OpenPage;
-      } else {
-        return fail(line_no, "row_policy must be closed_page/open_page");
-      }
-    } else if (key == "row_hit_cycles") {
-      if (!is_number) return fail(line_no, "row_hit_cycles needs a number");
-      dc.row_hit_cycles = static_cast<u32>(number);
-    } else if (key == "row_miss_cycles") {
-      if (!is_number) return fail(line_no, "row_miss_cycles needs a number");
-      dc.row_miss_cycles = static_cast<u32>(number);
-    } else if (key == "fast_forward") {
-      if (value == "true" || value == "1") {
-        dc.fast_forward = true;
-      } else if (value == "false" || value == "0") {
-        dc.fast_forward = false;
-      } else {
-        return fail(line_no, "fast_forward must be true/false");
-      }
-    } else if (key == "model_data") {
-      if (value == "true" || value == "1") {
-        dc.model_data = true;
-      } else if (value == "false" || value == "0") {
-        dc.model_data = false;
-      } else {
-        return fail(line_no, "model_data must be true/false");
-      }
-    } else if (key == "map_mode") {
-      if (value == "low_interleave") {
-        dc.map_mode = AddrMapMode::LowInterleave;
-      } else if (value == "bank_first") {
-        dc.map_mode = AddrMapMode::BankFirst;
-      } else if (value == "linear") {
-        dc.map_mode = AddrMapMode::Linear;
-      } else {
-        return fail(line_no,
-                    "map_mode must be low_interleave/bank_first/linear");
-      }
-    } else if (key == "timing_backend") {
-      TimingBackend backend;
-      if (!timing_backend_from_string(value, &backend)) {
-        return fail(line_no, "unknown timing_backend '" + value +
-                                 "' (hmc_dram/generic_ddr/pcm_like)");
-      }
-      dc.timing_backend = backend;
+    } else if (const ConfigKnob* knob = find_knob(key)) {
+      const std::string error = parse_knob(dc, *knob, value);
+      if (!error.empty()) return fail(line_no, error);
     } else if (key == "vault_backend") {
       // Repeatable per-vault override: "<index>:<name>" or
       // "<lo>-<hi>:<name>".
@@ -305,38 +250,6 @@ ConfigParseResult parse_config(std::istream& in) {
         }
         dc.vault_backends.emplace_back(static_cast<u32>(v), backend);
       }
-    } else if (key == "ddr_tcl") {
-      if (!is_number) return fail(line_no, "ddr_tcl needs a number");
-      dc.ddr_tcl = static_cast<u32>(number);
-    } else if (key == "ddr_trcd") {
-      if (!is_number) return fail(line_no, "ddr_trcd needs a number");
-      dc.ddr_trcd = static_cast<u32>(number);
-    } else if (key == "ddr_trp") {
-      if (!is_number) return fail(line_no, "ddr_trp needs a number");
-      dc.ddr_trp = static_cast<u32>(number);
-    } else if (key == "ddr_tras") {
-      if (!is_number) return fail(line_no, "ddr_tras needs a number");
-      dc.ddr_tras = static_cast<u32>(number);
-    } else if (key == "pcm_read_cycles") {
-      if (!is_number) return fail(line_no, "pcm_read_cycles needs a number");
-      dc.pcm_read_cycles = static_cast<u32>(number);
-    } else if (key == "pcm_write_cycles") {
-      if (!is_number) return fail(line_no, "pcm_write_cycles needs a number");
-      dc.pcm_write_cycles = static_cast<u32>(number);
-    } else if (key == "pcm_write_gap_cycles") {
-      if (!is_number) {
-        return fail(line_no, "pcm_write_gap_cycles needs a number");
-      }
-      dc.pcm_write_gap_cycles = static_cast<u32>(number);
-    } else if (key == "vault_schedule") {
-      if (value == "bank_ready") {
-        dc.vault_schedule = VaultSchedule::BankReady;
-      } else if (value == "strict_fifo") {
-        dc.vault_schedule = VaultSchedule::StrictFifo;
-      } else {
-        return fail(line_no,
-                    "vault_schedule must be bank_ready/strict_fifo");
-      }
     } else {
       return fail(line_no, "unknown key '" + key + "'");
     }
@@ -358,73 +271,37 @@ ConfigParseResult parse_config_string(const std::string& text) {
 }
 
 void write_config(std::ostream& os, const SimConfig& config) {
-  const DeviceConfig& dc = config.device;
   os << "# hmcsim device configuration\n";
   os << "num_devices = " << config.num_devices << '\n';
-  os << "num_links = " << dc.num_links << '\n';
-  os << "banks_per_vault = " << dc.banks_per_vault << '\n';
-  os << "drams_per_bank = " << dc.drams_per_bank << '\n';
-  os << "xbar_depth = " << dc.xbar_depth << '\n';
-  os << "vault_depth = " << dc.vault_depth << '\n';
-  os << "capacity_gb = " << (dc.derived_capacity() >> 30) << '\n';
-  os << "max_block_bytes = " << dc.max_block_bytes << '\n';
-  os << "map_mode = "
-     << (dc.map_mode == AddrMapMode::LowInterleave ? "low_interleave"
-         : dc.map_mode == AddrMapMode::BankFirst   ? "bank_first"
-                                                   : "linear")
-     << '\n';
-  os << "bank_busy_cycles = " << dc.bank_busy_cycles << '\n';
-  os << "xbar_flits_per_cycle = " << dc.xbar_flits_per_cycle << '\n';
-  os << "vault_drain_limit = " << dc.vault_drain_limit << '\n';
-  os << "nonlocal_penalty_cycles = " << dc.nonlocal_penalty_cycles << '\n';
-  os << "conflict_window = " << dc.conflict_window << '\n';
-  os << "vault_schedule = "
-     << (dc.vault_schedule == VaultSchedule::BankReady ? "bank_ready"
-                                                       : "strict_fifo")
-     << '\n';
-  os << "link_error_rate_ppm = " << dc.link_error_rate_ppm << '\n';
-  os << "fault_seed = " << dc.fault_seed << '\n';
-  os << "link_retry_limit = " << dc.link_retry_limit << '\n';
-  os << "link_protocol = " << (dc.link_protocol ? "true" : "false") << '\n';
-  os << "link_tokens = " << dc.link_tokens << '\n';
-  os << "link_retry_buffer_flits = " << dc.link_retry_buffer_flits << '\n';
-  os << "link_retry_latency = " << dc.link_retry_latency << '\n';
-  os << "link_error_burst_len = " << dc.link_error_burst_len << '\n';
-  os << "link_stuck_interval_cycles = " << dc.link_stuck_interval_cycles
-     << '\n';
-  os << "link_stuck_window_cycles = " << dc.link_stuck_window_cycles << '\n';
-  os << "link_fail_threshold = " << dc.link_fail_threshold << '\n';
-  os << "dram_sbe_rate_ppm = " << dc.dram_sbe_rate_ppm << '\n';
-  os << "dram_dbe_rate_ppm = " << dc.dram_dbe_rate_ppm << '\n';
-  os << "scrub_interval_cycles = " << dc.scrub_interval_cycles << '\n';
-  os << "scrub_window_bytes = " << dc.scrub_window_bytes << '\n';
-  os << "vault_fail_threshold = " << dc.vault_fail_threshold << '\n';
-  os << "failed_vault_mask = " << dc.failed_vault_mask << '\n';
-  os << "vault_remap = " << (dc.vault_remap ? "true" : "false") << '\n';
-  os << "watchdog_cycles = " << dc.watchdog_cycles << '\n';
-  os << "checkpoint_interval_cycles = " << dc.checkpoint_interval_cycles
-     << '\n';
-  os << "chaos_invariants = " << dc.chaos_invariants << '\n';
-  os << "refresh_interval_cycles = " << dc.refresh_interval_cycles << '\n';
-  os << "refresh_busy_cycles = " << dc.refresh_busy_cycles << '\n';
-  os << "row_policy = "
-     << (dc.row_policy == RowPolicy::OpenPage ? "open_page" : "closed_page")
-     << '\n';
-  os << "row_hit_cycles = " << dc.row_hit_cycles << '\n';
-  os << "row_miss_cycles = " << dc.row_miss_cycles << '\n';
-  os << "timing_backend = " << to_string(dc.timing_backend) << '\n';
-  for (const auto& [vault, backend] : dc.vault_backends) {
+  for (const ConfigKnob& k : kKnobs) {
+    const u64 v = k.get(config.device);
+    os << k.key << " = ";
+    switch (k.kind) {
+      case ConfigKnob::Kind::Number: os << (v >> k.shift); break;
+      case ConfigKnob::Kind::Bool: os << (v != 0 ? "true" : "false"); break;
+      case ConfigKnob::Kind::Enum: os << k.names[v]; break;
+    }
+    os << '\n';
+  }
+  for (const auto& [vault, backend] : config.device.vault_backends) {
     os << "vault_backend = " << vault << ':' << to_string(backend) << '\n';
   }
-  os << "ddr_tcl = " << dc.ddr_tcl << '\n';
-  os << "ddr_trcd = " << dc.ddr_trcd << '\n';
-  os << "ddr_trp = " << dc.ddr_trp << '\n';
-  os << "ddr_tras = " << dc.ddr_tras << '\n';
-  os << "pcm_read_cycles = " << dc.pcm_read_cycles << '\n';
-  os << "pcm_write_cycles = " << dc.pcm_write_cycles << '\n';
-  os << "pcm_write_gap_cycles = " << dc.pcm_write_gap_cycles << '\n';
-  os << "fast_forward = " << (dc.fast_forward ? "true" : "false") << '\n';
-  os << "model_data = " << (dc.model_data ? "true" : "false") << '\n';
+}
+
+std::span<const ConfigKnob> config_knobs() { return kKnobs; }
+
+const ConfigKnob* find_knob(std::string_view key) {
+  for (const ConfigKnob& k : kKnobs) {
+    if (k.key == key) return &k;
+  }
+  return nullptr;
+}
+
+bool store_knob(DeviceConfig& dc, const ConfigKnob& knob, u64 value) {
+  if (knob.kind == ConfigKnob::Kind::Bool) value = value != 0;
+  if (value > knob.max >> knob.shift) return false;
+  knob.set(dc, value << knob.shift);
+  return true;
 }
 
 }  // namespace hmcsim

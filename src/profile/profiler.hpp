@@ -26,7 +26,7 @@ enum class ProfileStage : u8 {
   Stage1Xbar,     ///< child-device link crossbar
   Stage2RootXbar, ///< root-device link crossbar
   Stage34Vaults,  ///< bank-conflict recognition + vault retirement (fused)
-  Stage5Responses,///< response registration and link transfer (serial)
+  Stage5Responses,///< response registration and link transfer
   Stage6Clock,    ///< scrub step, register edge, clock update, watchdog
   FastForward,    ///< idle-cycle skip path (arm checks + fast cycles)
 };
@@ -44,15 +44,15 @@ class StageProfiler {
   /// Monotonic nanoseconds (std::chrono::steady_clock).
   [[nodiscard]] static u64 now_ns();
 
-  // ---- recording (hot path; plain adds, no locking needed — see header) --
+  // ---- recording (hot path; plain adds) ----------------------------------
   void add_stage(ProfileStage stage, u64 ns) {
     stage_ns_[static_cast<usize>(stage)] += ns;
   }
-  /// Shard-side attribution for the crossbar stages (slot owner: device).
+  /// Per-device attribution for the crossbar stages.
   void add_device(ProfileStage stage, u32 dev, u64 ns) {
     device_ns_[static_cast<usize>(stage)][dev] += ns;
   }
-  /// Shard-side attribution for stage 3-4 (slot owner: (device, vault)).
+  /// Per-(device, vault) attribution for stages 3-4.
   /// The engine feeds this on a 1-in-16-cycle sample (keyed to the
   /// deterministic cycle counter), so vault_ns values are relative weights
   /// for ranking vaults, not wall-time totals.

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
+
+#include "core/stats.hpp"
 
 namespace {
 
@@ -390,26 +393,17 @@ TEST_F(HmcFixture, GetStatsMatchesNamedCounters) {
   EXPECT_EQ(stats.writes, 1u);
   EXPECT_EQ(stats.sends, 2u);
   EXPECT_EQ(stats.bytes_written, 64u);
-  // Every field must agree with its hmcsim_get_stat counterpart.
-  const struct {
-    const char* name;
-    uint64_t value;
-  } rows[] = {
-      {"reads", stats.reads},
-      {"writes", stats.writes},
-      {"atomics", stats.atomics},
-      {"bytes_read", stats.bytes_read},
-      {"bytes_written", stats.bytes_written},
-      {"responses", stats.responses},
-      {"bank_conflicts", stats.bank_conflicts},
-      {"xbar_rqst_stalls", stats.xbar_rqst_stalls},
-      {"sends", stats.sends},
-      {"recvs", stats.recvs},
-  };
-  for (const auto& row : rows) {
+  // Every counter must agree with its hmcsim_get_stat counterpart; the
+  // struct's words follow kDeviceCounters order.
+  using hmcsim::kDeviceCounters;
+  uint64_t words[std::size(kDeviceCounters)];
+  static_assert(sizeof words == sizeof stats);
+  std::memcpy(words, &stats, sizeof words);
+  for (size_t i = 0; i < std::size(kDeviceCounters); ++i) {
+    const char* name = kDeviceCounters[i].name;
     uint64_t value = ~0ull;
-    ASSERT_EQ(hmcsim_get_stat(&hmc, 0, row.name, &value), 0) << row.name;
-    EXPECT_EQ(value, row.value) << row.name;
+    ASSERT_EQ(hmcsim_get_stat(&hmc, 0, name, &value), 0) << name;
+    EXPECT_EQ(value, words[i]) << name;
   }
   // Invalid arguments.
   EXPECT_EQ(hmcsim_get_stats(&hmc, 5, &stats), -1);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <vector>
 
 namespace hmcsim {
 namespace {
@@ -78,6 +80,24 @@ TEST(ConfigFile, EnumsAndBooleans) {
   EXPECT_FALSE(r.config.device.model_data);
 }
 
+/// A value for `knob`, in file units and other than its DeviceConfig
+/// default, with which `base` still validates.
+std::optional<u64> non_default_value(const SimConfig& base,
+                                     const ConfigKnob& knob) {
+  const u64 cur = knob.get(base.device) >> knob.shift;
+  std::vector<u64> candidates{cur, cur * 2, cur + 1, cur / 2};
+  for (u64 c = 1; c <= 1024; c *= 2) candidates.push_back(c);
+  for (const u64 c : candidates) {
+    SimConfig trial = base;
+    if (!store_knob(trial.device, knob, c) ||
+        knob.get(trial.device) == knob.get(DeviceConfig{})) {
+      continue;
+    }
+    if (ok(trial.validate())) return c;
+  }
+  return std::nullopt;
+}
+
 TEST(ConfigFile, WriteParseRoundTrip) {
   SimConfig original;
   original.num_devices = 1;
@@ -106,6 +126,35 @@ TEST(ConfigFile, WriteParseRoundTrip) {
   EXPECT_EQ(a.refresh_interval_cycles, b.refresh_interval_cycles);
   EXPECT_EQ(a.model_data, b.model_data);
   EXPECT_EQ(a.derived_capacity(), b.derived_capacity());
+
+  // Every knob-table row, one at a time, set away from its default on a
+  // base that lets the protocol, stuck-link and pcm knobs move freely.
+  SimConfig base;
+  base.num_devices = 2;
+  base.device.link_protocol = true;
+  base.device.link_retry_limit = 8;
+  base.device.link_stuck_interval_cycles = 512;
+  base.device.link_stuck_window_cycles = 32;
+  base.device.vault_backends = {{3, TimingBackend::PcmLike}};
+  ASSERT_TRUE(ok(base.validate()));
+
+  for (const ConfigKnob& knob : config_knobs()) {
+    const std::optional<u64> value = non_default_value(base, knob);
+    ASSERT_TRUE(value.has_value()) << knob.key;
+    SimConfig set = base;
+    ASSERT_TRUE(store_knob(set.device, knob, *value)) << knob.key;
+
+    std::ostringstream text;
+    write_config(text, set);
+    const auto parsed = parse_config_string(text.str());
+    ASSERT_TRUE(parsed.ok) << knob.key << ": " << parsed.error;
+    EXPECT_EQ(parsed.config.num_devices, 2u);
+    EXPECT_EQ(parsed.config.device.vault_backends, set.device.vault_backends);
+    for (const ConfigKnob& other : config_knobs()) {
+      EXPECT_EQ(other.get(parsed.config.device), other.get(set.device))
+          << "setting " << knob.key << " lost " << other.key;
+    }
+  }
 }
 
 TEST(ConfigFile, LinkProtocolKnobsRoundTrip) {
@@ -284,6 +333,31 @@ TEST(ConfigFile, VaultBackendSelectionRoundTrips) {
   EXPECT_EQ(a.pcm_read_cycles, b.pcm_read_cycles);
   EXPECT_EQ(a.pcm_write_cycles, b.pcm_write_cycles);
   EXPECT_EQ(a.pcm_write_gap_cycles, b.pcm_write_gap_cycles);
+}
+
+TEST(ConfigFile, OutOfRangeNumbersAreRejectedNotTruncated) {
+  // Truncated, each value would still give a valid config (4 links, 16
+  // busy cycles, 2 GiB, one device, a disabled cadence), so the width
+  // check is the only thing that can catch it.
+  const struct {
+    const char* text;
+    const char* key;
+  } cases[] = {
+      {"num_links = 4294967300\n", "num_links"},
+      {"bank_busy_cycles = 4294967312\n", "bank_busy_cycles"},
+      {"capacity_gb = 17179869186\n", "capacity_gb"},
+      {"num_devices = 4294967297\n", "num_devices"},
+      {"chaos_invariants = 4294967296\n", "chaos_invariants"},
+  };
+  for (const auto& c : cases) {
+    const auto r = parse_config_string(std::string("# header\n") + c.text);
+    ASSERT_FALSE(r.ok) << c.text;
+    EXPECT_EQ(r.error.rfind(std::string("2: ") + c.key, 0), 0u) << r.error;
+  }
+  // The largest value that fits the field is still accepted.
+  const auto max = parse_config_string("watchdog_cycles = 4294967295\n");
+  ASSERT_TRUE(max.ok) << max.error;
+  EXPECT_EQ(max.config.device.watchdog_cycles, 4294967295u);
 }
 
 }  // namespace

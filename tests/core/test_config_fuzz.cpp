@@ -7,6 +7,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/random.hpp"
 #include "core/config_file.hpp"
@@ -53,23 +54,15 @@ TEST(ConfigFuzz, RandomKeyValueShapedLinesNeverCrash) {
   // Bias the soup toward things that look like real assignments so the
   // value-parsing and range-checking paths get hit, not just key lookup.
   SplitMix64 rng(0xFACE);
-  static constexpr const char* kKeys[] = {
-      "num_devices",   "num_links",       "banks_per_vault",
-      "xbar_depth",    "vault_depth",     "capacity_gb",
-      "map_mode",      "vault_schedule",  "link_error_rate_ppm",
-      "dram_sbe_rate_ppm", "watchdog_cycles",
-      "link_protocol", "link_tokens",     "link_retry_buffer_flits",
-      "link_retry_latency", "link_error_burst_len",
-      "link_stuck_interval_cycles", "link_stuck_window_cycles",
-      "link_fail_threshold",
-      "timing_backend", "vault_backend", "ddr_tcl", "ddr_tras",
-      "pcm_read_cycles", "pcm_write_cycles", "pcm_write_gap_cycles",
-      "not_a_real_key"};
+  // Every knob-table key, the two hand-parsed keys, and one unknown key.
+  std::vector<std::string> keys{"num_devices", "vault_backend",
+                                "not_a_real_key"};
+  for (const ConfigKnob& knob : config_knobs()) keys.emplace_back(knob.key);
   for (int i = 0; i < 20000; ++i) {
     std::string text;
     const usize lines = 1 + rng.next_below(6);
     for (usize l = 0; l < lines; ++l) {
-      text += kKeys[rng.next_below(std::size(kKeys))];
+      text += keys[rng.next_below(keys.size())];
       text += " = ";
       // Values: plain numbers, huge numbers, negatives, junk words, plus
       // vault_backend's "<index>:<name>" / "<lo>-<hi>:<name>" shapes (well

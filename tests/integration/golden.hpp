@@ -36,60 +36,8 @@ inline u64 fnv1a(std::string_view bytes, u64 h = kFnvOffset) {
 
 /// One "stat <name> <value>" line per DeviceStats counter.
 inline void append_stats(std::ostream& os, const DeviceStats& s) {
-  const struct {
-    const char* name;
-    u64 value;
-  } fields[] = {
-      {"reads", s.reads},
-      {"writes", s.writes},
-      {"atomics", s.atomics},
-      {"mode_ops", s.mode_ops},
-      {"custom_ops", s.custom_ops},
-      {"bytes_read", s.bytes_read},
-      {"bytes_written", s.bytes_written},
-      {"responses", s.responses},
-      {"error_responses", s.error_responses},
-      {"bank_conflicts", s.bank_conflicts},
-      {"xbar_rqst_stalls", s.xbar_rqst_stalls},
-      {"xbar_rsp_stalls", s.xbar_rsp_stalls},
-      {"vault_rsp_stalls", s.vault_rsp_stalls},
-      {"latency_penalties", s.latency_penalties},
-      {"route_hops", s.route_hops},
-      {"misroutes", s.misroutes},
-      {"link_errors", s.link_errors},
-      {"link_retries", s.link_retries},
-      {"refreshes", s.refreshes},
-      {"row_hits", s.row_hits},
-      {"row_misses", s.row_misses},
-      {"sends", s.sends},
-      {"send_stalls", s.send_stalls},
-      {"recvs", s.recvs},
-      {"flow_packets", s.flow_packets},
-      {"dram_sbes", s.dram_sbes},
-      {"dram_dbes", s.dram_dbes},
-      {"scrub_steps", s.scrub_steps},
-      {"scrub_corrections", s.scrub_corrections},
-      {"scrub_uncorrectables", s.scrub_uncorrectables},
-      {"vault_failures", s.vault_failures},
-      {"vault_remaps", s.vault_remaps},
-      {"degraded_drops", s.degraded_drops},
-      {"link_crc_errors", s.link_crc_errors},
-      {"link_seq_errors", s.link_seq_errors},
-      {"link_abort_entries", s.link_abort_entries},
-      {"link_irtry_tx", s.link_irtry_tx},
-      {"link_irtry_rx", s.link_irtry_rx},
-      {"link_pret_tx", s.link_pret_tx},
-      {"link_tret_tx", s.link_tret_tx},
-      {"link_replayed_flits", s.link_replayed_flits},
-      {"link_token_stalls", s.link_token_stalls},
-      {"link_retrain_cycles", s.link_retrain_cycles},
-      {"link_failures", s.link_failures},
-      {"link_tokens_debited", s.link_tokens_debited},
-      {"link_tokens_returned", s.link_tokens_returned},
-      {"pcm_write_throttle_stalls", s.pcm_write_throttle_stalls},
-  };
-  for (const auto& f : fields) {
-    os << "stat " << f.name << ' ' << f.value << '\n';
+  for (const DeviceCounter& c : kDeviceCounters) {
+    os << "stat " << c.name << ' ' << s.*c.field << '\n';
   }
 }
 

@@ -535,6 +535,40 @@ TEST(CheckpointCompat, UnknownVersionsStillRejected) {
   }
 }
 
+TEST(CheckpointCompat, OutOfRangeEnumWordsAreRejected) {
+  // v5 streams carry no section CRC, so a damaged config word reaches the
+  // decoder.  Words: magic, version, num_devices, then the CFG fields, of
+  // which map_mode is the 7th, vault_schedule the 14th and row_policy the
+  // 20th.  An enum word past its last enumerator must be refused rather
+  // than restored as a value the engine never compares against.
+  const std::string bytes = read_fixture(5);
+  const struct {
+    usize field;
+    char bad;
+    char good;
+  } cases[] = {{6, 3, 2}, {13, 2, 1}, {19, 2, 1}};
+  for (const auto& c : cases) {
+    const usize at = 8 * (3 + c.field);
+    ASSERT_LT(at, bytes.size());
+    ASSERT_EQ(bytes[at], 0) << "fixture uses the first enumerator";
+    std::string mutated = bytes;
+
+    // The last enumerator restores, so the offset really is that field.
+    mutated[at] = c.good;
+    Simulator good;
+    std::istringstream good_in(mutated);
+    EXPECT_EQ(good.restore_checkpoint(good_in), Status::Ok) << c.field;
+
+    mutated[at] = c.bad;
+    Simulator bad;
+    CheckpointError err;
+    std::istringstream bad_in(mutated);
+    EXPECT_NE(bad.restore_checkpoint(bad_in, &err, nullptr), Status::Ok)
+        << c.field;
+    EXPECT_EQ(err.code, CheckpointErrorCode::BadFieldValue) << c.field;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllVersions, CheckpointCompatVersions,
                          ::testing::Values(2u, 3u, 4u, 5u, 6u, 7u, 8u),
                          [](const auto& info) {

@@ -84,6 +84,10 @@ TEST_F(ExitCodes, TwoOnUsageErrors) {
   EXPECT_EQ(run(tool() + " --resume"), 2);  // --resume needs a directory
   // The clock engine runs serially; the old worker-count flag is unknown.
   EXPECT_EQ(run(tool() + " --preset a --threads 4"), 2);
+  // A knob value wider than its 32-bit field is refused, not wrapped to 0
+  // (which would silently disable the watchdog).
+  EXPECT_EQ(run(tool() + " --preset a --requests 64 --watchdog 4294967296"),
+            2);
 }
 
 TEST_F(ExitCodes, ThreeOnWatchdog) {

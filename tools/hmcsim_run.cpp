@@ -107,7 +107,8 @@
 //                           invariant at the same cycle and write it here
 //
 //   Every option also accepts the --flag=value spelling; numeric values are
-//   parsed strictly (trailing junk is a usage error).
+//   parsed strictly (trailing junk, or a value wider than the field it
+//   sets, is a usage error).
 //
 //   Exit status: 0 success, 1 incomplete run, 2 usage error, 3 watchdog
 //   fired (diagnostic dump on stderr, including link-protocol state and
@@ -117,6 +118,7 @@
 //   stderr; the shrunken reproducer is written when --chaos-shrink is
 //   given).
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <cerrno>
 #include <cstdint>
@@ -167,53 +169,31 @@ struct Args {
   u64 metrics_interval = 0;
   u32 seed = 1;
   bool no_fast_forward = false;  ///< disable the idle-cycle fast path
-  // RAS / fault injection; -1 sentinels mean "leave the config file value".
-  i64 dram_sbe_ppm = -1;
-  i64 dram_dbe_ppm = -1;
-  i64 scrub_interval = -1;
-  i64 scrub_window = -1;
-  i64 vault_fail_threshold = -1;
-  i64 failed_vaults = -1;
-  i64 vault_remap = -1;
-  i64 watchdog = -1;
-  i64 link_error_ppm = -1;
-  i64 link_retry_limit = -1;
-  i64 link_protocol = -1;
-  i64 link_tokens = -1;
-  i64 link_retry_latency = -1;
-  i64 link_burst = -1;
-  i64 link_stuck_interval = -1;
-  i64 link_stuck_window = -1;
-  i64 link_fail_threshold = -1;
+  /// Config-knob overrides from kKnobFlags, applied in command-line order
+  /// over the config file or preset.
+  std::vector<std::pair<const ConfigKnob*, u64>> knobs;
   // Timing backend selection (docs/BACKENDS.md); empty = config value.
   std::string backend;
   std::vector<std::string> vault_backends;  ///< repeatable "idx:name"
-  i64 ddr_tcl = -1;
-  i64 ddr_trcd = -1;
-  i64 ddr_trp = -1;
-  i64 ddr_tras = -1;
-  i64 pcm_read = -1;
-  i64 pcm_write = -1;
-  i64 pcm_write_gap = -1;
   u64 timeout = 0;
   u32 retries = 0;
   u64 backoff = 0;
   // Crash-consistent checkpointing.
   std::string checkpoint_dir;
-  u64 checkpoint_interval = 0;  ///< 0: config value, else 10000 when dir set
+  u32 checkpoint_interval = 0;  ///< 0: config value, else 10000 when dir set
   u64 checkpoint_keep = 3;      ///< generations retained (0 = keep all)
   bool resume = false;
   // Observability.
   bool profile = false;
   std::string flight_recorder_out;
   std::string flight_recorder_chrome;
-  u64 flight_recorder_depth = 0;
-  u64 telemetry_interval = 0;
+  u32 flight_recorder_depth = 0;
+  u32 telemetry_interval = 0;
   u64 wedge_vaults = 0;
   // Chaos orchestration (docs/CHAOS.md).
   std::string chaos_plan;
   std::string chaos_shrink;
-  u64 chaos_invariants = 0;  ///< 0: default (1024 when a plan is armed)
+  u32 chaos_invariants = 0;  ///< 0: default (1024 when a plan is armed)
 };
 
 void usage(const char* argv0) {
@@ -288,7 +268,11 @@ bool parse_args(int argc, char** argv, Args& args) {
   struct StrOpt { const char* flag; std::string Args::* field; };
   struct U64Opt { const char* flag; u64 Args::* field; };
   struct U32Opt { const char* flag; u32 Args::* field; };
-  struct I64Opt { const char* flag; i64 Args::* field; };
+  // Flags that override one config-file knob.  Values use the CLI number
+  // syntax (strtoull base 0, booleans nonzero = true) and go through the
+  // config parser's checked store, so a value that does not fit the field
+  // is a usage error.
+  struct KnobOpt { const char* flag; const char* key; };
   static constexpr StrOpt kStrOpts[] = {
       {"--config", &Args::config_file},
       {"--backend", &Args::backend},
@@ -311,44 +295,43 @@ bool parse_args(int argc, char** argv, Args& args) {
       {"--metrics-interval", &Args::metrics_interval},
       {"--timeout", &Args::timeout},
       {"--backoff", &Args::backoff},
-      {"--telemetry-interval", &Args::telemetry_interval},
-      {"--flight-recorder-depth", &Args::flight_recorder_depth},
       {"--wedge-vaults", &Args::wedge_vaults},
-      {"--checkpoint-interval", &Args::checkpoint_interval},
       {"--checkpoint-keep", &Args::checkpoint_keep},
-      {"--chaos-invariants", &Args::chaos_invariants},
   };
   static constexpr U32Opt kU32Opts[] = {
       {"--request-bytes", &Args::request_bytes},
       {"--seed", &Args::seed},
       {"--retries", &Args::retries},
+      {"--telemetry-interval", &Args::telemetry_interval},
+      {"--flight-recorder-depth", &Args::flight_recorder_depth},
+      {"--checkpoint-interval", &Args::checkpoint_interval},
+      {"--chaos-invariants", &Args::chaos_invariants},
   };
-  // RAS / link overrides share the -1 "leave the config value" sentinel.
-  static constexpr I64Opt kI64Opts[] = {
-      {"--dram-sbe-ppm", &Args::dram_sbe_ppm},
-      {"--dram-dbe-ppm", &Args::dram_dbe_ppm},
-      {"--scrub-interval", &Args::scrub_interval},
-      {"--scrub-window", &Args::scrub_window},
-      {"--vault-fail-threshold", &Args::vault_fail_threshold},
-      {"--failed-vaults", &Args::failed_vaults},
-      {"--vault-remap", &Args::vault_remap},
-      {"--watchdog", &Args::watchdog},
-      {"--link-error-ppm", &Args::link_error_ppm},
-      {"--link-retry-limit", &Args::link_retry_limit},
-      {"--link-protocol", &Args::link_protocol},
-      {"--link-tokens", &Args::link_tokens},
-      {"--link-retry-latency", &Args::link_retry_latency},
-      {"--link-burst", &Args::link_burst},
-      {"--link-stuck-interval", &Args::link_stuck_interval},
-      {"--link-stuck-window", &Args::link_stuck_window},
-      {"--link-fail-threshold", &Args::link_fail_threshold},
-      {"--ddr-tcl", &Args::ddr_tcl},
-      {"--ddr-trcd", &Args::ddr_trcd},
-      {"--ddr-trp", &Args::ddr_trp},
-      {"--ddr-tras", &Args::ddr_tras},
-      {"--pcm-read", &Args::pcm_read},
-      {"--pcm-write", &Args::pcm_write},
-      {"--pcm-write-gap", &Args::pcm_write_gap},
+  static constexpr KnobOpt kKnobFlags[] = {
+      {"--dram-sbe-ppm", "dram_sbe_rate_ppm"},
+      {"--dram-dbe-ppm", "dram_dbe_rate_ppm"},
+      {"--scrub-interval", "scrub_interval_cycles"},
+      {"--scrub-window", "scrub_window_bytes"},
+      {"--vault-fail-threshold", "vault_fail_threshold"},
+      {"--failed-vaults", "failed_vault_mask"},
+      {"--vault-remap", "vault_remap"},
+      {"--watchdog", "watchdog_cycles"},
+      {"--link-error-ppm", "link_error_rate_ppm"},
+      {"--link-retry-limit", "link_retry_limit"},
+      {"--link-protocol", "link_protocol"},
+      {"--link-tokens", "link_tokens"},
+      {"--link-retry-latency", "link_retry_latency"},
+      {"--link-burst", "link_error_burst_len"},
+      {"--link-stuck-interval", "link_stuck_interval_cycles"},
+      {"--link-stuck-window", "link_stuck_window_cycles"},
+      {"--link-fail-threshold", "link_fail_threshold"},
+      {"--ddr-tcl", "ddr_tcl"},
+      {"--ddr-trcd", "ddr_trcd"},
+      {"--ddr-trp", "ddr_trp"},
+      {"--ddr-tras", "ddr_tras"},
+      {"--pcm-read", "pcm_read_cycles"},
+      {"--pcm-write", "pcm_write_cycles"},
+      {"--pcm-write-gap", "pcm_write_gap_cycles"},
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -424,15 +407,18 @@ bool parse_args(int argc, char** argv, Args& args) {
       break;
     }
     if (handled) continue;
-    for (const I64Opt& opt : kI64Opts) {
+    for (const KnobOpt& opt : kKnobFlags) {
       if (flag != opt.flag) continue;
       const char* v = take_value();
       u64 parsed = 0;
       if (v == nullptr || !parse_u64_strict(flag, v, parsed)) return false;
-      if (parsed > static_cast<u64>(INT64_MAX)) {
-        return value_error(flag, v, "a smaller number");
+      const ConfigKnob* knob = find_knob(opt.key);
+      assert(knob != nullptr && "kKnobFlags names an unknown key");
+      DeviceConfig probe;  // checks the width now, so errors exit 2 early
+      if (!store_knob(probe, *knob, parsed)) {
+        return value_error(flag, v, "a 32-bit number");
       }
-      args.*opt.field = static_cast<i64>(parsed);
+      args.knobs.emplace_back(knob, parsed);
       handled = true;
       break;
     }
@@ -628,64 +614,18 @@ int main(int argc, char** argv) {
     chaos_plan = std::move(parsed.plan);
   }
 
-  // ---- RAS overrides --------------------------------------------------------
+  // ---- knob overrides -------------------------------------------------------
   {
     DeviceConfig& dc = config.device;
-    if (args.dram_sbe_ppm >= 0) {
-      dc.dram_sbe_rate_ppm = static_cast<u32>(args.dram_sbe_ppm);
-    }
-    if (args.dram_dbe_ppm >= 0) {
-      dc.dram_dbe_rate_ppm = static_cast<u32>(args.dram_dbe_ppm);
-    }
-    if (args.scrub_interval >= 0) {
-      dc.scrub_interval_cycles = static_cast<u32>(args.scrub_interval);
-    }
-    if (args.scrub_window >= 0) {
-      dc.scrub_window_bytes = static_cast<u64>(args.scrub_window);
-    }
-    if (args.vault_fail_threshold >= 0) {
-      dc.vault_fail_threshold = static_cast<u32>(args.vault_fail_threshold);
-    }
-    if (args.failed_vaults >= 0) {
-      dc.failed_vault_mask = static_cast<u64>(args.failed_vaults);
-    }
-    if (args.vault_remap >= 0) dc.vault_remap = args.vault_remap != 0;
-    if (args.watchdog >= 0) {
-      dc.watchdog_cycles = static_cast<u32>(args.watchdog);
-    }
-    if (args.link_error_ppm >= 0) {
-      dc.link_error_rate_ppm = static_cast<u32>(args.link_error_ppm);
-    }
-    if (args.link_retry_limit >= 0) {
-      dc.link_retry_limit = static_cast<u32>(args.link_retry_limit);
-    }
-    if (args.link_protocol >= 0) dc.link_protocol = args.link_protocol != 0;
-    if (args.link_tokens >= 0) {
-      dc.link_tokens = static_cast<u32>(args.link_tokens);
-    }
-    if (args.link_retry_latency >= 0) {
-      dc.link_retry_latency = static_cast<u32>(args.link_retry_latency);
-    }
-    if (args.link_burst >= 0) {
-      dc.link_error_burst_len = static_cast<u32>(args.link_burst);
-    }
-    if (args.link_stuck_interval >= 0) {
-      dc.link_stuck_interval_cycles =
-          static_cast<u32>(args.link_stuck_interval);
-    }
-    if (args.link_stuck_window >= 0) {
-      dc.link_stuck_window_cycles = static_cast<u32>(args.link_stuck_window);
-    }
-    if (args.link_fail_threshold >= 0) {
-      dc.link_fail_threshold = static_cast<u32>(args.link_fail_threshold);
+    for (const auto& [knob, value] : args.knobs) {
+      (void)store_knob(dc, *knob, value);  // range-checked while parsing
     }
     if (args.no_fast_forward) dc.fast_forward = false;
     // Checkpoint cadence: the flag wins over the config file value; a
     // --checkpoint-dir with neither falls back to every 10000 cycles.  An
     // execution knob — never serialized into checkpoints.
     if (args.checkpoint_interval != 0) {
-      dc.checkpoint_interval_cycles = static_cast<u32>(
-          std::min<u64>(args.checkpoint_interval, 0xffffffffULL));
+      dc.checkpoint_interval_cycles = args.checkpoint_interval;
     } else if (!args.checkpoint_dir.empty() &&
                dc.checkpoint_interval_cycles == 0) {
       dc.checkpoint_interval_cycles = 10000;
@@ -693,10 +633,10 @@ int main(int argc, char** argv) {
     // Observability knobs (pure observation; see docs/OBSERVABILITY.md).
     if (args.profile) dc.self_profile = true;
     if (args.telemetry_interval != 0) {
-      dc.telemetry_interval_cycles = static_cast<u32>(args.telemetry_interval);
+      dc.telemetry_interval_cycles = args.telemetry_interval;
     }
     if (args.flight_recorder_depth != 0) {
-      dc.flight_recorder_depth = static_cast<u32>(args.flight_recorder_depth);
+      dc.flight_recorder_depth = args.flight_recorder_depth;
     }
     if ((!args.flight_recorder_out.empty() ||
          !args.flight_recorder_chrome.empty()) &&
@@ -707,8 +647,7 @@ int main(int argc, char** argv) {
     // plan that retargets DRAM fault rates needs the data model present
     // (those injectors live in the data store).
     if (args.chaos_invariants != 0) {
-      dc.chaos_invariants = static_cast<u32>(
-          std::min<u64>(args.chaos_invariants, 0xffffffffULL));
+      dc.chaos_invariants = args.chaos_invariants;
     } else if (chaos_armed && dc.chaos_invariants == 0) {
       dc.chaos_invariants = 1024;
     }
@@ -756,19 +695,6 @@ int main(int argc, char** argv) {
         return e.first == static_cast<u32>(vault);
       });
       dc.vault_backends.emplace_back(static_cast<u32>(vault), backend);
-    }
-    if (args.ddr_tcl >= 0) dc.ddr_tcl = static_cast<u32>(args.ddr_tcl);
-    if (args.ddr_trcd >= 0) dc.ddr_trcd = static_cast<u32>(args.ddr_trcd);
-    if (args.ddr_trp >= 0) dc.ddr_trp = static_cast<u32>(args.ddr_trp);
-    if (args.ddr_tras >= 0) dc.ddr_tras = static_cast<u32>(args.ddr_tras);
-    if (args.pcm_read >= 0) {
-      dc.pcm_read_cycles = static_cast<u32>(args.pcm_read);
-    }
-    if (args.pcm_write >= 0) {
-      dc.pcm_write_cycles = static_cast<u32>(args.pcm_write);
-    }
-    if (args.pcm_write_gap >= 0) {
-      dc.pcm_write_gap_cycles = static_cast<u32>(args.pcm_write_gap);
     }
   }
 
