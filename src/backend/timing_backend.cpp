@@ -40,12 +40,6 @@ class HmcDramBackend final : public VaultTimingBackend {
 
   void reset() override {}
 
-  BankGate gate(const VaultState& vault, u32 bank, AccessClass /*access*/,
-                Cycle now) const override {
-    return vault.bank_busy_until[bank] > now ? BankGate::Busy
-                                             : BankGate::Ready;
-  }
-
   void issue(VaultState& vault, u32 bank, u64 row, AccessClass /*access*/,
              Cycle now, DeviceStats& stats) override {
     if (config_->row_policy == RowPolicy::OpenPage) {
@@ -79,12 +73,6 @@ class GenericDdrBackend final : public VaultTimingBackend {
   TimingBackend kind() const override { return TimingBackend::GenericDdr; }
 
   void reset() override {}
-
-  BankGate gate(const VaultState& vault, u32 bank, AccessClass /*access*/,
-                Cycle now) const override {
-    return vault.bank_busy_until[bank] > now ? BankGate::Busy
-                                             : BankGate::Ready;
-  }
 
   void issue(VaultState& vault, u32 bank, u64 row, AccessClass /*access*/,
              Cycle now, DeviceStats& stats) override {
@@ -121,19 +109,17 @@ class GenericDdrBackend final : public VaultTimingBackend {
 /// kNoOpenRow.
 class PcmLikeBackend final : public VaultTimingBackend {
  public:
-  explicit PcmLikeBackend(const DeviceConfig& config) : config_(&config) {}
+  explicit PcmLikeBackend(const DeviceConfig& config)
+      : VaultTimingBackend(/*class_gated=*/true), config_(&config) {}
 
   TimingBackend kind() const override { return TimingBackend::PcmLike; }
 
   void reset() override { write_ok_ = 0; }
 
-  BankGate gate(const VaultState& vault, u32 bank, AccessClass access,
-                Cycle now) const override {
-    if (vault.bank_busy_until[bank] > now) return BankGate::Busy;
-    if (access != AccessClass::Read && write_ok_ > now) {
-      return BankGate::Throttled;
-    }
-    return BankGate::Ready;
+  BankGate class_gate(AccessClass access, Cycle now) const override {
+    return access != AccessClass::Read && write_ok_ > now
+               ? BankGate::Throttled
+               : BankGate::Ready;
   }
 
   void issue(VaultState& vault, u32 bank, u64 /*row*/, AccessClass access,
@@ -172,6 +158,11 @@ void VaultTimingBackend::refresh(VaultState& vault, Cycle now,
   for (Cycle& busy : vault.bank_busy_until) busy = std::max(busy, until);
   // Refresh precharges every bank: open rows close.
   std::fill(vault.open_row.begin(), vault.open_row.end(), kNoOpenRow);
+}
+
+BankGate VaultTimingBackend::class_gate(AccessClass /*access*/,
+                                        Cycle /*now*/) const {
+  return BankGate::Ready;
 }
 
 void VaultTimingBackend::serialize(std::ostream& /*os*/) const {}

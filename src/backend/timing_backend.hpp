@@ -7,7 +7,9 @@
 // narrow so memory models compose instead of fork (Ramulator-style
 // implementable interfaces):
 //
-//   gate()     may (bank, access class) issue at cycle `now`?
+//   gate()     may (bank, access class) issue at cycle `now`?  A busy
+//              bank is Busy for every model; a backend only decides for
+//              free banks (class_gate())
 //   issue()    commit the access: update the bank timing arrays and any
 //              backend-private state, attribute stats
 //   refresh()  take every bank offline for the refresh window
@@ -63,9 +65,14 @@ class VaultTimingBackend {
   /// shared bank arrays itself.
   virtual void reset() = 0;
 
-  /// May (bank, access) issue at cycle `now`?
-  virtual BankGate gate(const VaultState& vault, u32 bank, AccessClass access,
-                        Cycle now) const = 0;
+  /// May (bank, access) issue at cycle `now`?  A bank inside its busy
+  /// window (`VaultState::bank_busy_until`) is Busy under every model, and
+  /// that answer, which is most of what the conflict scan gets, costs no
+  /// virtual call; a free bank is Ready unless the backend limits the
+  /// access class (class_gate()).  Defined in core/device.hpp, where
+  /// VaultState is complete.
+  [[nodiscard]] BankGate gate(const VaultState& vault, u32 bank,
+                              AccessClass access, Cycle now) const;
 
   /// Commit the access at cycle `now`: set the bank's busy window, manage
   /// the row buffer, update backend-private state, attribute stats
@@ -85,6 +92,20 @@ class VaultTimingBackend {
   virtual void serialize(std::ostream& os) const;
   /// Restore from a `len`-byte blob; false on malformed contents.
   virtual bool restore(std::istream& is, u64 len);
+
+ protected:
+  /// Backends that hold back whole access classes on a free bank (the
+  /// pcm_like write gap) pass true and override class_gate(); the others
+  /// never pay its call.
+  explicit VaultTimingBackend(bool class_gated = false)
+      : class_gated_(class_gated) {}
+  /// gate() for a free bank: Ready, or Throttled while a backend-wide
+  /// limit holds `access` back.  The default is always Ready.
+  [[nodiscard]] virtual BankGate class_gate(AccessClass access,
+                                            Cycle now) const;
+
+ private:
+  bool class_gated_;
 };
 
 /// Construct the backend configured for `vault` (honoring per-vault

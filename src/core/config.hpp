@@ -70,6 +70,11 @@ const char* to_string(TimingBackend backend);
 bool timing_backend_from_string(std::string_view name, TimingBackend* out);
 
 struct DeviceConfig {
+  /// Largest xbar_depth / vault_depth accepted.  Every queue reserves its
+  /// slots at init, so an unbounded depth from a config file or checkpoint
+  /// would abort the allocation; the paper's experiments use 128 and 64.
+  static constexpr usize kMaxQueueDepth = 4096;
+
   // ---- structural (the paper's init parameters) ------------------------
   u32 num_links{4};        ///< 4 or 8
   u32 banks_per_vault{8};  ///< 8 or 16 (stacked die layers)

@@ -42,6 +42,12 @@ Device::Device(u32 cube_id, const DeviceConfig& config)
     vaults.push_back(std::move(vault));
   }
   mode_rsp = BoundedQueue<ResponseEntry>(config.xbar_depth);
+  for (auto& link : links) link.rqst.tally_into(&queued_internal_);
+  for (auto& vault : vaults) {
+    vault.rqst.tally_into(&queued_internal_);
+    vault.rsp.tally_into(&queued_internal_);
+  }
+  mode_rsp.tally_into(&queued_internal_);
   fault_rng = SplitMix64(config.fault_seed + cube_id * 0x9e3779b97f4a7c15ull);
   ras.failed_vaults = config.failed_vault_mask;
   ras.vault_uncorrectable.assign(config.num_vaults(), 0);

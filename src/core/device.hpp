@@ -146,6 +146,12 @@ struct VaultState {
   std::unique_ptr<VaultTimingBackend> timing;
 };
 
+inline BankGate VaultTimingBackend::gate(const VaultState& vault, u32 bank,
+                                         AccessClass access, Cycle now) const {
+  if (vault.bank_busy_until[bank] > now) return BankGate::Busy;
+  return class_gated_ ? class_gate(access, now) : BankGate::Ready;
+}
+
 /// Per-device RAS runtime state: the error log the 0x2E register block
 /// exposes, vault degradation tracking, and the scrubber cursor.
 struct RasState {
@@ -167,6 +173,9 @@ struct RasState {
 class Device {
  public:
   Device(u32 cube_id, const DeviceConfig& config);
+  /// Immovable: the queues keep a pointer to queued_internal_.
+  Device(const Device&) = delete;
+  Device& operator=(const Device&) = delete;
 
   /// Reset queues, banks, registers and (optionally) memory contents to the
   /// power-on state.
@@ -203,7 +212,14 @@ class Device {
     return (ras.failed_vaults >> v & 1) == 0;
   }
 
+  /// Entries in every link request queue, every vault queue and mode_rsp
+  /// (the queues tally into it; see BoundedQueue::tally_into).  Zero means
+  /// all of them are empty, which the fast-forward idle proof reads in
+  /// place of a walk over every vault.
+  [[nodiscard]] usize queued_internal() const { return queued_internal_; }
+
  private:
+  usize queued_internal_{0};
   u32 id_;
   DeviceConfig config_;
   AddressMap map_;

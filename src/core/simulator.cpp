@@ -225,8 +225,9 @@ Status Simulator::send(u32 dev, u32 link, const PacketBuffer& packet) {
     if (!ok(ds)) return ds;
     entry.custom = custom;
   } else {
-    const Status v = validate_packet(packet);
-    if (!ok(v)) return v;
+    // decode_request makes every check validate_packet does (framing,
+    // command, LNG/DLN, CRC) plus the request-only ones, so this is the one
+    // CRC check on the host hop, still ahead of any queue-space test.
     const Status ds = decode_request(packet, entry.req);
     if (!ok(ds)) return ds;
   }
@@ -570,10 +571,10 @@ void Simulator::sample_telemetry() {
 bool Simulator::ff_queues_idle() const {
   for (const auto& dev_ptr : devices_) {
     const Device& dev = *dev_ptr;
-    if (!dev.mode_rsp.empty()) return false;
+    // Link request, vault and mode-response queues, in one load.
+    if (dev.queued_internal() != 0) return false;
     for (u32 l = 0; l < config_.device.num_links; ++l) {
       const LinkState& link = dev.links[l];
-      if (!link.rqst.empty()) return false;
       // A packet held for replay lives outside the queues but still has
       // a pending retrain-timer event the fast path cannot emulate.
       if (link.proto.replay_pending) return false;
@@ -584,9 +585,6 @@ bool Simulator::ff_queues_idle() const {
               EndpointKind::Device) {
         return false;
       }
-    }
-    for (const auto& vault : dev.vaults) {
-      if (!vault.rqst.empty() || !vault.rsp.empty()) return false;
     }
   }
   return true;

@@ -7,31 +7,21 @@
 
 namespace hmcsim {
 
-void SparseStore::release_pages() {
-  for (auto& slot : pages_) {
-    delete slot.exchange(nullptr, std::memory_order_relaxed);
-  }
-}
-
 const SparseStore::Page* SparseStore::find_page(u64 page_index) const {
-  return pages_[page_index].load(std::memory_order_acquire);
+  const u64 l = page_index / kLeafPages;
+  if (l >= leaves_.size() || !leaves_[l]) return nullptr;
+  return (*leaves_[l])[page_index % kLeafPages].get();
 }
 
 SparseStore::Page& SparseStore::materialize_page(u64 page_index) {
-  std::atomic<Page*>& slot = pages_[page_index];
-  Page* page = slot.load(std::memory_order_acquire);
-  if (page != nullptr) return *page;
-  // First touch: race to install a zero-filled page.  The loser frees its
-  // candidate and adopts the winner's — contents are identical either way,
-  // so materialization order cannot affect simulation results.
-  Page* fresh = new Page();
-  fresh->fill(0);
-  if (slot.compare_exchange_strong(page, fresh, std::memory_order_acq_rel,
-                                   std::memory_order_acquire)) {
-    resident_.fetch_add(1, std::memory_order_relaxed);
-    return *fresh;
+  const u64 l = page_index / kLeafPages;
+  if (l >= leaves_.size()) leaves_.resize(l + 1);
+  if (!leaves_[l]) leaves_[l] = std::make_unique<Leaf>();
+  std::unique_ptr<Page>& page = (*leaves_[l])[page_index % kLeafPages];
+  if (!page) {
+    page = std::make_unique<Page>();  // value-initialized: zero-filled
+    ++resident_;
   }
-  delete fresh;
   return *page;
 }
 
@@ -104,7 +94,6 @@ bool SparseStore::write_words(u64 addr, std::span<const u64> in) {
 bool SparseStore::plant_fault(u64 addr, std::span<const u32> codeword_bits) {
   if (addr >= capacity_) return false;
   const u64 word = addr / 8;
-  std::lock_guard<std::mutex> lock(fault_mutex_);
   FaultRecord& rec = faults_[word];
   for (const u32 bit : codeword_bits) {
     if (bit < ecc::kDataBits) {
@@ -116,7 +105,6 @@ bool SparseStore::plant_fault(u64 addr, std::span<const u32> codeword_bits) {
     }
   }
   if (rec.data_flips == 0 && rec.check_flips == 0) faults_.erase(word);
-  fault_count_.store(faults_.size(), std::memory_order_relaxed);
   return true;
 }
 
@@ -124,15 +112,12 @@ bool SparseStore::restore_fault(u64 word_index, u64 data_flips,
                                 u8 check_flips) {
   if (word_index * 8 >= capacity_) return false;
   if (data_flips == 0 && check_flips == 0) return false;
-  std::lock_guard<std::mutex> lock(fault_mutex_);
   faults_[word_index] = FaultRecord{data_flips, check_flips};
-  fault_count_.store(faults_.size(), std::memory_order_relaxed);
   return true;
 }
 
 bool SparseStore::has_fault(u64 addr, usize bytes) const {
   if (fault_count() == 0 || bytes == 0) return false;
-  std::lock_guard<std::mutex> lock(fault_mutex_);
   const auto it = faults_.lower_bound(addr / 8);
   return it != faults_.end() && it->first <= (addr + bytes - 1) / 8;
 }
@@ -166,39 +151,33 @@ SparseStore::FaultSummary SparseStore::check_and_repair(u64 addr,
                                                         usize bytes) {
   FaultSummary out;
   if (fault_count() == 0 || bytes == 0) return out;
-  std::lock_guard<std::mutex> lock(fault_mutex_);
   const u64 last = (addr + bytes - 1) / 8;
   auto it = faults_.lower_bound(addr / 8);
   while (it != faults_.end() && it->first <= last) {
     it = decode_record(it, out, /*retire_uncorrectable=*/false);
   }
-  fault_count_.store(faults_.size(), std::memory_order_relaxed);
   return out;
 }
 
 SparseStore::FaultSummary SparseStore::scrub_span(u64 addr, u64 bytes) {
   FaultSummary out;
   if (fault_count() == 0 || bytes == 0) return out;
-  std::lock_guard<std::mutex> lock(fault_mutex_);
   const u64 last = (addr + bytes - 1) / 8;
   auto it = faults_.lower_bound(addr / 8);
   while (it != faults_.end() && it->first <= last) {
     it = decode_record(it, out, /*retire_uncorrectable=*/true);
   }
-  fault_count_.store(faults_.size(), std::memory_order_relaxed);
   return out;
 }
 
 void SparseStore::clear_faults_in(u64 addr, usize bytes) {
   if (bytes == 0) return;
-  std::lock_guard<std::mutex> lock(fault_mutex_);
   const u64 last = (addr + bytes - 1) / 8;
   auto it = faults_.lower_bound(addr / 8);
   while (it != faults_.end() && it->first <= last) {
     store_word(it->first, load_word(it->first) ^ it->second.data_flips);
     it = faults_.erase(it);
   }
-  fault_count_.store(faults_.size(), std::memory_order_relaxed);
 }
 
 }  // namespace hmcsim

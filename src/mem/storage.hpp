@@ -10,16 +10,12 @@
 // controller's block granularity), but arbitrary byte spans are supported
 // for host-side convenience and tests.
 //
-// Concurrency: callers may access different vaults' blocks from different
-// threads, and a 4 KiB page spans many vaults' interleaved blocks — so the
-// page table is a flat array of atomic page pointers.  Lookups are
-// lock-free loads; first-touch materialization is a compare-exchange (the
-// loser frees its zero-filled candidate, so page contents are identical
-// regardless of which thread wins).  Concurrent accesses to one page must
-// target disjoint byte ranges (each vault owns its interleaved blocks),
-// which is race-free by the C++ memory model.
-// The flat table also makes page iteration order deterministic by
-// construction (ascending index), which checkpointing relies on.
+// The page table has two levels: a directory of leaves, each leaf holding
+// kLeafPages page pointers (2 MiB of address space).  Leaves are allocated
+// on first write, and the directory grows only to the highest leaf written,
+// so setup and teardown cost nothing for untouched memory.  Iterating the
+// directory in order visits pages in ascending index order, which
+// checkpointing relies on.
 //
 // DRAM fault domain: faults are planted per 64-bit word as real bit flips in
 // the stored data plus a sidecar record of the ground-truth flip masks.  The
@@ -27,18 +23,14 @@
 // the word's SECDED check byte and run a genuine syndrome decode — a
 // "corrected" SBE is an actual codec repair, an uncorrectable DBE an actual
 // detection, not a counter bump.  Writes overwrite faults (fresh data means
-// fresh check bits).  The sidecar map is guarded by a mutex (different
-// vaults only ever touch faults in their own address ranges, so the lock
-// protects map structure, never logical state), and the hot-path "any
-// faults at all?" gate is a relaxed atomic counter — with no faults planted
-// every fault hook is a single load, so the RAS-off cost stays ~0.
+// fresh check bits).  The hot-path "any faults at all?" gate is the size of
+// the sidecar map — with no faults planted every fault hook is a single
+// load, so the RAS-off cost stays ~0.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -49,6 +41,8 @@ namespace hmcsim {
 class SparseStore {
  public:
   static constexpr usize kPageBytes = 4096;
+  /// Pages per page-table leaf.
+  static constexpr usize kLeafPages = 512;
 
   /// Result of running the SECDED codec over a span's fault records.
   struct FaultSummary {
@@ -56,11 +50,7 @@ class SparseStore {
     u32 uncorrectable = 0;  ///< double-bit (or worse) errors detected
   };
 
-  explicit SparseStore(u64 capacity_bytes)
-      : capacity_(capacity_bytes),
-        pages_((capacity_bytes + kPageBytes - 1) / kPageBytes) {}
-
-  ~SparseStore() { release_pages(); }
+  explicit SparseStore(u64 capacity_bytes) : capacity_(capacity_bytes) {}
 
   SparseStore(const SparseStore&) = delete;
   SparseStore& operator=(const SparseStore&) = delete;
@@ -68,9 +58,7 @@ class SparseStore {
   [[nodiscard]] u64 capacity() const { return capacity_; }
 
   /// Number of pages currently materialized (observability / tests).
-  [[nodiscard]] usize resident_pages() const {
-    return resident_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] usize resident_pages() const { return resident_; }
 
   /// Read `out.size()` bytes at `addr`.  Returns false when the range
   /// exceeds capacity.  Unwritten bytes read as zero.
@@ -86,12 +74,10 @@ class SparseStore {
   bool write_words(u64 addr, std::span<const u64> in);
 
   /// Reset to the zero-filled state, releasing all pages and faults.
-  /// Not thread-safe; callers quiesce the clock engine first.
   void clear() {
-    release_pages();
-    resident_.store(0, std::memory_order_relaxed);
+    leaves_.clear();
+    resident_ = 0;
     faults_.clear();
-    fault_count_.store(0, std::memory_order_relaxed);
   }
 
   // --- DRAM fault domain ----------------------------------------------
@@ -113,19 +99,13 @@ class SparseStore {
   /// modeling page retirement + rebuild after the scrubber reports them.
   FaultSummary scrub_span(u64 addr, u64 bytes);
 
-  /// Outstanding (undiscovered or poisoned) fault records.  The count may
-  /// be momentarily stale while another thread plants or repairs faults in
-  /// ITS OWN address range; a vault's own faults are always visible to it.
-  [[nodiscard]] usize fault_count() const {
-    return fault_count_.load(std::memory_order_relaxed);
-  }
+  /// Outstanding (undiscovered or poisoned) fault records.
+  [[nodiscard]] usize fault_count() const { return faults_.size(); }
 
   /// True when any fault record overlaps [addr, addr+bytes).
   [[nodiscard]] bool has_fault(u64 addr, usize bytes) const;
 
   /// Visit every fault record in ascending word order (checkpointing).
-  /// Not thread-safe against concurrent fault mutation; checkpoint-time
-  /// only (the clock engine is quiescent between cycles).
   template <typename Fn>  // Fn(u64 word_index, u64 data_flips, u8 check_flips)
   void for_each_fault(Fn&& fn) const {
     for (const auto& [word, rec] : faults_) {
@@ -142,9 +122,13 @@ class SparseStore {
   /// checkpointing).  Pages are kPageBytes long.
   template <typename Fn>  // Fn(u64 page_index, std::span<const u8> bytes)
   void for_each_page(Fn&& fn) const {
-    for (usize i = 0; i < pages_.size(); ++i) {
-      if (const Page* page = pages_[i].load(std::memory_order_acquire)) {
-        fn(i, std::span<const u8>(page->data(), kPageBytes));
+    for (usize l = 0; l < leaves_.size(); ++l) {
+      if (!leaves_[l]) continue;
+      for (usize i = 0; i < kLeafPages; ++i) {
+        if (const Page* page = (*leaves_[l])[i].get()) {
+          fn(u64{l} * kLeafPages + i,
+             std::span<const u8>(page->data(), kPageBytes));
+        }
       }
     }
   }
@@ -156,6 +140,7 @@ class SparseStore {
 
  private:
   using Page = std::array<u8, kPageBytes>;
+  using Leaf = std::array<std::unique_ptr<Page>, kLeafPages>;
 
   struct FaultRecord {
     u64 data_flips = 0;  ///< xor mask currently applied to the stored word
@@ -166,14 +151,13 @@ class SparseStore {
 
   [[nodiscard]] const Page* find_page(u64 page_index) const;
   Page& materialize_page(u64 page_index);
-  void release_pages();
 
   /// Raw aligned-word access that bypasses the fault hooks.
   [[nodiscard]] u64 load_word(u64 word_index) const;
   void store_word(u64 word_index, u64 value);
 
   /// Decode one record; repairs/erases per the rules above.  Returns the
-  /// iterator past the (possibly erased) record.  Caller holds fault_mutex_.
+  /// iterator past the (possibly erased) record.
   FaultMap::iterator decode_record(FaultMap::iterator it, FaultSummary& out,
                                    bool retire_uncorrectable);
 
@@ -182,14 +166,11 @@ class SparseStore {
   void clear_faults_in(u64 addr, usize bytes);
 
   u64 capacity_;
-  /// Flat page table: slot i holds page i or nullptr.  ~2 MiB of pointers
-  /// per simulated GiB — cheaper than the hash map it replaced, lock-free,
-  /// and deterministically ordered.
-  std::vector<std::atomic<Page*>> pages_;
-  std::atomic<usize> resident_{0};
+  /// Page directory: leaf l holds pages l*kLeafPages.., or is null when
+  /// none of them was ever written.
+  std::vector<std::unique_ptr<Leaf>> leaves_;
+  usize resident_{0};
   FaultMap faults_;
-  std::atomic<usize> fault_count_{0};
-  mutable std::mutex fault_mutex_;
 };
 
 }  // namespace hmcsim

@@ -5,21 +5,31 @@
 namespace hmcsim::crc {
 namespace {
 
-/// 256-entry lookup table for the reflected Koopman polynomial, generated at
-/// static-init time by the straightforward bit loop.
-constexpr std::array<u32, 256> make_table() {
-  std::array<u32, 256> table{};
+using Table = std::array<u32, 256>;
+
+/// Slicing-by-8 tables for the reflected Koopman polynomial, generated at
+/// compile time.  kTables[0] is the classic byte table (the straightforward
+/// bit loop); kTables[k][b] advances kTables[k-1][b] by one more zero byte,
+/// so eight lookups fold a whole 64-bit word into the state at once.
+constexpr std::array<Table, 8> make_tables() {
+  std::array<Table, 8> t{};
   for (u32 i = 0; i < 256; ++i) {
     u32 c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (c >> 1) ^ kPolyKoopmanReflected : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (usize k = 1; k < 8; ++k) {
+    for (u32 i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<u32, 256> kTable = make_table();
+constexpr std::array<Table, 8> kTables = make_tables();
+constexpr const Table& kTable = kTables[0];
 
 }  // namespace
 
@@ -50,16 +60,22 @@ u32 crc32k_reference(std::span<const u8> bytes) {
   return state ^ 0xffffffffu;
 }
 
-u32 crc32k_words(std::span<const u64> words) {
-  u32 state = init();
+u32 update_words(u32 state, std::span<const u64> words) {
+  // Word i is the little-endian byte string b0..b7: b0..b3 meet the state,
+  // and each byte's table is chosen by how many bytes still follow it.
   for (const u64 w : words) {
-    u8 bytes[8];
-    for (int i = 0; i < 8; ++i) {
-      bytes[i] = static_cast<u8>((w >> (8 * i)) & 0xffu);
-    }
-    state = update(state, bytes);
+    const u32 lo = state ^ static_cast<u32>(w);
+    const u32 hi = static_cast<u32>(w >> 32);
+    state = kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^
+            kTables[5][(lo >> 16) & 0xffu] ^ kTables[4][lo >> 24] ^
+            kTables[3][hi & 0xffu] ^ kTables[2][(hi >> 8) & 0xffu] ^
+            kTables[1][(hi >> 16) & 0xffu] ^ kTables[0][hi >> 24];
   }
-  return finish(state);
+  return state;
+}
+
+u32 crc32k_words(std::span<const u64> words) {
+  return finish(update_words(init(), words));
 }
 
 }  // namespace hmcsim::crc

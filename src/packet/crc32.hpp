@@ -3,8 +3,9 @@
 //
 // Polynomial 0x741B8CD7 (normal form), reflected implementation with
 // init = 0xFFFFFFFF and final xor = 0xFFFFFFFF.  Two engines are provided:
-// a table-driven fast path used by the codec and a bit-at-a-time reference
-// used to cross-check the table in the test suite.
+// table-driven fast paths (byte-at-a-time, and slicing-by-8 over 64-bit
+// words for the codec) and a bit-at-a-time reference used to cross-check the
+// tables in the test suite.
 #pragma once
 
 #include <span>
@@ -32,7 +33,12 @@ inline constexpr u32 kPolyKoopmanReflected = 0xeb31d82eu;
 [[nodiscard]] u32 crc32k_reference(std::span<const u8> bytes);
 
 /// CRC over a span of 64-bit words interpreted little-endian, as packet
-/// FLITs are.  Matches crc32k over the equivalent byte string.
+/// FLITs are.  Matches crc32k over the equivalent byte string; runs
+/// slicing-by-8 over the words in place (one table step per word).
 [[nodiscard]] u32 crc32k_words(std::span<const u64> words);
+
+/// Incremental word form: `crc32k_words(x)` == `finish(update_words(init(),
+/// x))`, and word and byte updates may be mixed on one running state.
+[[nodiscard]] u32 update_words(u32 state, std::span<const u64> words);
 
 }  // namespace hmcsim::crc

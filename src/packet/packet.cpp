@@ -7,10 +7,12 @@
 namespace hmcsim {
 
 u32 packet_crc(const PacketBuffer& p) {
-  // CRC over the whole packet with the tail's CRC field zeroed.
-  PacketBuffer scratch = p;
-  scratch.tail() = deposit(scratch.tail(), 32, 32, 0);
-  return crc::crc32k_words({scratch.words.data(), scratch.word_count()});
+  // CRC over the whole packet with the tail's CRC field (bits 32..63) read
+  // as zero: every word before the tail in place, then the masked tail.
+  const usize last = p.word_count() - 1;
+  const u64 tail = deposit(p.words[last], 32, 32, 0);
+  const u32 state = crc::update_words(crc::init(), {p.words.data(), last});
+  return crc::finish(crc::update_words(state, {&tail, 1}));
 }
 
 void seal_crc(PacketBuffer& p) {

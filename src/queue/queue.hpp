@@ -12,13 +12,20 @@
 // for ancillary devices may pass those waiting for local vault access, and
 // vaults may retire non-head packets whose banks are free — §III.C).
 //
-// Entries are held in FIFO order in a contiguous array; middle removal is
-// O(n) with n <= the configured depth (128 in the paper's experiments),
-// which profiles faster than a linked structure at these sizes.
+// Layout follows the paper's slot model: entries live in a slab of slots
+// reserved once at the configured depth, and a separate array of 4-byte
+// slot indices holds the FIFO order (a slot is valid exactly while its index
+// is in that array).  A middle removal therefore shifts indices, not
+// entries, which matters because the crossbar queues sit near full at
+// depth 128 and a request entry is ~300 bytes.  A free slot is reused
+// last-in first-out; which slot an entry occupies never affects the FIFO
+// order, so it cannot affect simulation results.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -36,19 +43,46 @@ struct QueueStats {
 
 template <typename Entry>
 class BoundedQueue {
+  /// FIFO-order iterator over the valid slots (oldest first); enough for
+  /// range-for.
+  template <bool Const>
+  class Iter {
+    using Slab = std::conditional_t<Const, const std::vector<Entry>,
+                                    std::vector<Entry>>;
+
+   public:
+    Iter(Slab* slots, const u32* pos) : slots_(slots), pos_(pos) {}
+
+    auto& operator*() const { return (*slots_)[*pos_]; }
+    Iter& operator++() {
+      ++pos_;
+      return *this;
+    }
+    bool operator==(const Iter& o) const { return pos_ == o.pos_; }
+
+   private:
+    Slab* slots_;
+    const u32* pos_;
+  };
+
  public:
+  using iterator = Iter<false>;
+  using const_iterator = Iter<true>;
+
   BoundedQueue() = default;
   explicit BoundedQueue(usize capacity) : capacity_(capacity) {
-    entries_.reserve(capacity);
+    slots_.reserve(capacity);
+    free_.reserve(capacity);
+    order_.reserve(capacity);
   }
 
   [[nodiscard]] usize capacity() const { return capacity_; }
-  [[nodiscard]] usize size() const { return entries_.size(); }
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }
+  [[nodiscard]] usize size() const { return order_.size(); }
+  [[nodiscard]] bool empty() const { return order_.empty(); }
+  [[nodiscard]] bool full() const { return order_.size() >= capacity_; }
   [[nodiscard]] usize free_slots() const {
     // Saturating: push_front can transiently overfill (bounced forwards).
-    return entries_.size() >= capacity_ ? 0 : capacity_ - entries_.size();
+    return order_.size() >= capacity_ ? 0 : capacity_ - order_.size();
   }
 
   /// Append at the FIFO back.  Returns false (and counts a rejection) when
@@ -58,9 +92,10 @@ class BoundedQueue {
       ++stats_.rejected_full;
       return false;
     }
-    entries_.push_back(std::move(e));
+    order_.push_back(take_slot(std::move(e)));
+    if (tally_ != nullptr) ++*tally_;
     ++stats_.total_pushes;
-    stats_.high_water = std::max(stats_.high_water, entries_.size());
+    stats_.high_water = std::max(stats_.high_water, order_.size());
     return true;
   }
 
@@ -68,20 +103,22 @@ class BoundedQueue {
   /// Used only to bounce an optimistically removed entry back (the
   /// crossbar's two-phase cross-device forward when the destination filled
   /// up in the meantime); the queue may transiently exceed its capacity
-  /// until the entry moves on, during which free_slots() saturates at zero.
+  /// until the entry moves on, during which free_slots() saturates at zero
+  /// and the slab grows by a slot if none is free.
   void push_front(Entry e) {
-    entries_.insert(entries_.begin(), std::move(e));
-    stats_.high_water = std::max(stats_.high_water, entries_.size());
+    order_.insert(order_.begin(), take_slot(std::move(e)));
+    if (tally_ != nullptr) ++*tally_;
+    stats_.high_water = std::max(stats_.high_water, order_.size());
   }
 
   /// FIFO-ordered access; index 0 is the oldest entry.
   [[nodiscard]] Entry& at(usize i) {
-    assert(i < entries_.size());
-    return entries_[i];
+    assert(i < order_.size());
+    return slots_[order_[i]];
   }
   [[nodiscard]] const Entry& at(usize i) const {
-    assert(i < entries_.size());
-    return entries_[i];
+    assert(i < order_.size());
+    return slots_[order_[i]];
   }
 
   [[nodiscard]] Entry& front() { return at(0); }
@@ -90,16 +127,35 @@ class BoundedQueue {
   /// relative order of everything else, which is what keeps the
   /// link-to-bank stream ordering intact when non-head entries retire.
   Entry remove(usize i) {
-    assert(i < entries_.size());
-    Entry e = std::move(entries_[i]);
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+    assert(i < order_.size());
+    const u32 slot = order_[i];
+    Entry e = std::move(slots_[slot]);
+    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(i));
+    free_.push_back(slot);
+    if (tally_ != nullptr) --*tally_;
     ++stats_.total_pops;
     return e;
   }
 
   Entry pop_front() { return remove(0); }
 
-  void clear() { entries_.clear(); }
+  void clear() {
+    // Valid slots become free; their (stale) contents are overwritten on
+    // reuse.
+    free_.insert(free_.end(), order_.begin(), order_.end());
+    if (tally_ != nullptr) *tally_ -= order_.size();
+    order_.clear();
+  }
+
+  /// Keep `*tally` up to date with this queue's occupancy from now on:
+  /// every push adds one, every removal subtracts.  Several queues sharing
+  /// one tally answer "are all of them empty?" with a single load.  Only
+  /// the owner's queue may be tallied, and it must not be copied or
+  /// reassigned afterwards (a copy would update the same tally).
+  void tally_into(usize* tally) {
+    tally_ = tally;
+    *tally_ += order_.size();
+  }
 
   [[nodiscard]] const QueueStats& stats() const { return stats_; }
   void reset_stats() { stats_ = QueueStats{}; }
@@ -107,14 +163,36 @@ class BoundedQueue {
   void restore_stats(const QueueStats& s) { stats_ = s; }
 
   /// Iteration in FIFO order (oldest first).
-  [[nodiscard]] auto begin() { return entries_.begin(); }
-  [[nodiscard]] auto end() { return entries_.end(); }
-  [[nodiscard]] auto begin() const { return entries_.begin(); }
-  [[nodiscard]] auto end() const { return entries_.end(); }
+  [[nodiscard]] iterator begin() { return {&slots_, order_.data()}; }
+  [[nodiscard]] iterator end() {
+    return {&slots_, order_.data() + order_.size()};
+  }
+  [[nodiscard]] const_iterator begin() const {
+    return {&slots_, order_.data()};
+  }
+  [[nodiscard]] const_iterator end() const {
+    return {&slots_, order_.data() + order_.size()};
+  }
 
  private:
+  /// Store `e` in a free slot (growing the slab only past the reserved
+  /// depth, i.e. on a push_front overfill) and return the slot's index.
+  u32 take_slot(Entry&& e) {
+    if (free_.empty()) {
+      slots_.push_back(std::move(e));
+      return static_cast<u32>(slots_.size() - 1);
+    }
+    const u32 slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = std::move(e);
+    return slot;
+  }
+
   usize capacity_{0};
-  std::vector<Entry> entries_;
+  std::vector<Entry> slots_;  ///< the slab; grows to the peak occupancy
+  std::vector<u32> free_;     ///< slots not holding a queued entry
+  std::vector<u32> order_;    ///< FIFO order of the valid slots
+  usize* tally_{nullptr};     ///< see tally_into()
   QueueStats stats_;
 };
 

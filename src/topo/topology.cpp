@@ -49,10 +49,6 @@ Status Topology::disconnect(CubeId dev, LinkId link) {
   return Status::Ok;
 }
 
-const LinkEndpoint& Topology::endpoint(CubeId dev, LinkId link) const {
-  return ep(dev.get(), link.get());
-}
-
 bool Topology::is_root(CubeId dev) const {
   for (u32 l = 0; l < links_per_device_; ++l) {
     if (ep(dev.get(), l).kind == EndpointKind::Host) return true;

@@ -59,7 +59,9 @@ class Topology {
   /// Unwire a link (and its peer when device-connected).
   Status disconnect(CubeId dev, LinkId link);
 
-  [[nodiscard]] const LinkEndpoint& endpoint(CubeId dev, LinkId link) const;
+  [[nodiscard]] const LinkEndpoint& endpoint(CubeId dev, LinkId link) const {
+    return ep(dev.get(), link.get());
+  }
 
   /// A root device exposes at least one host link (paper §IV.C: stages 2
   /// and 5 treat root and child devices differently).

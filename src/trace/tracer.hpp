@@ -24,8 +24,10 @@ class Tracer {
   void clear_sinks() { sinks_.clear(); }
 
   /// Fast gate for hot paths: is an event of this class recorded at all?
+  /// The inline sink test comes first so the untraced path never calls the
+  /// out-of-line level_for.
   [[nodiscard]] bool enabled(TraceEvent e) const {
-    return level_ >= level_for(e) && !sinks_.empty();
+    return !sinks_.empty() && level_ >= level_for(e);
   }
 
   /// Record unconditionally (callers should gate on enabled()).

@@ -27,6 +27,29 @@ TEST(Backpressure, SendStallsWhenXbarQueueFull) {
   EXPECT_EQ(send_request(sim, 0, 1, Command::Rd16, 0x440, 10), Status::Ok);
 }
 
+TEST(Backpressure, FullQueueRefusesCorruptPacketAsMalformedNotStalled) {
+  // send checks the packet before it looks for queue space: on a full link
+  // queue a corrupt CRC is still MalformedPacket and a good packet Stalled.
+  DeviceConfig dc = small_device();
+  dc.xbar_depth = 2;
+  Simulator sim = make_simple_sim(dc);
+  ASSERT_EQ(send_request(sim, 0, 0, Command::Rd16, 0, 0), Status::Ok);
+  ASSERT_EQ(send_request(sim, 0, 0, Command::Rd16, 64, 1), Status::Ok);
+  const u64 data[2] = {1, 2};
+  PacketBuffer pkt;
+  ASSERT_EQ(build_memrequest(0, 128, 2, Command::Wr16, 0, data, pkt),
+            Status::Ok);
+  PacketBuffer corrupt = pkt;
+  corrupt.tail() ^= u64{1} << 40;  // one bit of the CRC field
+  EXPECT_EQ(sim.send(0, 0, corrupt), Status::MalformedPacket);
+  corrupt = pkt;
+  corrupt.payload()[1] ^= 1;  // one payload bit under an intact CRC field
+  EXPECT_EQ(sim.send(0, 0, corrupt), Status::MalformedPacket);
+  EXPECT_EQ(sim.stats(0).send_stalls, 0u);
+  EXPECT_EQ(sim.send(0, 0, pkt), Status::Stalled);
+  EXPECT_EQ(sim.stats(0).send_stalls, 1u);
+}
+
 TEST(Backpressure, StallClearsAfterClocking) {
   DeviceConfig dc = small_device();
   dc.xbar_depth = 2;

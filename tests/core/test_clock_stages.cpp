@@ -20,6 +20,29 @@ TEST(ClockStages, ClockAdvancesByExactlyOne) {
   }
 }
 
+TEST(ClockStages, EntryPushedThroughDeviceStopsTheFastForward) {
+  // The idle fast path re-proves emptiness on every clock, so an entry an
+  // embedder pushes straight into a queue (no send(), so nothing disarms
+  // the skip) must still run staged from the next clock on.
+  Simulator sim = make_simple_sim();
+  for (int i = 0; i < 8; ++i) sim.clock();
+  ASSERT_GT(sim.cycles_skipped(), 0u);
+  const u64 data[2] = {7, 8};
+  RequestEntry entry;
+  ASSERT_EQ(build_memrequest(0, 0x40, 5, Command::Wr16, 0, data, entry.pkt),
+            Status::Ok);
+  ASSERT_EQ(decode_request(entry.pkt, entry.req), Status::Ok);
+  entry.ready_cycle = sim.now() + 1;
+  ASSERT_TRUE(sim.device(0).links[0].rqst.push(entry));
+  const u64 skipped = sim.cycles_skipped();
+  sim.clock();
+  EXPECT_EQ(sim.cycles_skipped(), skipped);
+  const auto rsp = test::await_response(sim, 0, 0);
+  ASSERT_TRUE(rsp.has_value());
+  EXPECT_EQ(rsp->tag, 5u);
+  EXPECT_EQ(rsp->cmd, Command::WriteResponse);
+}
+
 TEST(ClockStages, NothingMovesWithoutClock) {
   // "Internal device operations will not progress until an appropriate call
   // to the clock function" (§IV.C).

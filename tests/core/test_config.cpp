@@ -47,6 +47,18 @@ TEST(DeviceConfig, RejectsZeroQueueDepths) {
   EXPECT_EQ(dc.validate(), Status::InvalidConfig);
 }
 
+TEST(DeviceConfig, RejectsQueueDepthsPastTheCap) {
+  DeviceConfig dc;
+  dc.xbar_depth = DeviceConfig::kMaxQueueDepth;
+  dc.vault_depth = DeviceConfig::kMaxQueueDepth;
+  EXPECT_EQ(dc.validate(), Status::Ok);
+  dc.xbar_depth = DeviceConfig::kMaxQueueDepth + 1;
+  EXPECT_EQ(dc.validate(), Status::InvalidConfig);
+  dc = DeviceConfig{};
+  dc.vault_depth = DeviceConfig::kMaxQueueDepth + 1;
+  EXPECT_EQ(dc.validate(), Status::InvalidConfig);
+}
+
 TEST(DeviceConfig, RejectsBadBlockSize) {
   DeviceConfig dc;
   dc.max_block_bytes = 48;

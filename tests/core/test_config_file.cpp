@@ -360,5 +360,19 @@ TEST(ConfigFile, OutOfRangeNumbersAreRejectedNotTruncated) {
   EXPECT_EQ(max.config.device.watchdog_cycles, 4294967295u);
 }
 
+TEST(ConfigFile, QueueDepthsPastTheCapAreRejected) {
+  // Queue depths fit their 64-bit fields but are capped by validation:
+  // the queues reserve their slots at init, so such a depth used to abort
+  // the allocation (std::length_error, std::bad_alloc).
+  for (const char* text : {"xbar_depth = 18446744073709551615\n",
+                           "vault_depth = 100000000\n"}) {
+    const auto r = parse_config_string(text);
+    ASSERT_FALSE(r.ok) << text;
+    EXPECT_NE(r.error.find("queue depths must be at most"),
+              std::string::npos)
+        << r.error;
+  }
+}
+
 }  // namespace
 }  // namespace hmcsim

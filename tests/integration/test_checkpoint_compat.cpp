@@ -569,6 +569,38 @@ TEST(CheckpointCompat, OutOfRangeEnumWordsAreRejected) {
   }
 }
 
+TEST(CheckpointCompat, QueueDepthsPastTheCapAreRejected) {
+  // CFG words 3 and 4 are xbar_depth and vault_depth.  A legacy stream has
+  // no CRC to catch a damaged depth, and restore sizes every queue from it,
+  // so validation must refuse the depth before init allocates.
+  const std::string bytes = read_fixture(5);
+  const struct {
+    usize field;
+    u64 depth;
+  } cases[] = {{3, ~u64{0}},
+               {3, DeviceConfig::kMaxQueueDepth + 1},
+               {4, u64{1} << 40},
+               {4, DeviceConfig::kMaxQueueDepth + 1}};
+  for (const auto& c : cases) {
+    const usize at = 8 * (3 + c.field);
+    ASSERT_LE(at + 8, bytes.size());
+    std::string mutated = bytes;
+    for (usize b = 0; b < 8; ++b) {
+      mutated[at + b] = static_cast<char>(c.depth >> (8 * b));
+    }
+    Simulator sim;
+    CheckpointError err;
+    std::istringstream in(mutated);
+    EXPECT_EQ(sim.restore_checkpoint(in, &err, nullptr),
+              Status::InvalidConfig)
+        << c.field << " " << c.depth;
+    EXPECT_EQ(err.code, CheckpointErrorCode::BadFieldValue) << c.field;
+    EXPECT_NE(err.detail.find("queue depths must be at most"),
+              std::string::npos)
+        << err.detail;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllVersions, CheckpointCompatVersions,
                          ::testing::Values(2u, 3u, 4u, 5u, 6u, 7u, 8u),
                          [](const auto& info) {

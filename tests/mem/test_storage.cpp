@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/random.hpp"
@@ -129,6 +131,75 @@ TEST(SparseStore, RandomizedReadYourWrites) {
     ASSERT_TRUE(store.read_words(it->first, back));
     EXPECT_EQ(back, it->second);
   }
+}
+
+TEST(SparseStore, RoundTripAtPageTableLeafBoundaries) {
+  // Pages on both sides of every leaf boundary, the first and the last
+  // page, and one write straddling a boundary.  A capacity that ends in a
+  // partial page and a partial leaf keeps the last page off any boundary.
+  constexpr u64 kPage = SparseStore::kPageBytes;
+  constexpr u64 kLeaf = SparseStore::kLeafPages;
+  const u64 capacity = (3 * kLeaf + 5) * kPage + 200;
+  const u64 last_page = capacity / kPage;
+  SparseStore store(capacity);
+
+  std::vector<u64> pages = {0, kLeaf - 1, kLeaf, 2 * kLeaf - 1, 2 * kLeaf,
+                            3 * kLeaf - 1, 3 * kLeaf, last_page};
+  const auto pattern = [](u64 page, usize i) {
+    return static_cast<u8>(page * 31 + i * 7 + 1);
+  };
+  for (const u64 page : pages) {
+    // The last page is partial: write only up to the capacity.
+    const usize len = static_cast<usize>(
+        std::min<u64>(kPage, capacity - page * kPage));
+    std::vector<u8> data(len);
+    for (usize i = 0; i < len; ++i) data[i] = pattern(page, i);
+    ASSERT_TRUE(store.write(page * kPage, data)) << page;
+  }
+  EXPECT_FALSE(store.write(capacity - 4, std::vector<u8>(8, 1)));
+  // Straddle the first leaf boundary: 16 bytes either side, re-writing
+  // the ends of pages kLeaf-1 and kLeaf.
+  std::vector<u8> straddle(32, 0xC3);
+  ASSERT_TRUE(store.write(kLeaf * kPage - 16, straddle));
+  EXPECT_EQ(store.resident_pages(), pages.size());
+
+  const auto expected = [&](u64 page, usize i) -> u8 {
+    const u64 addr = page * kPage + i;
+    if (addr >= kLeaf * kPage - 16 && addr < kLeaf * kPage + 16) return 0xC3;
+    return pattern(page, i);
+  };
+  for (const u64 page : pages) {
+    const usize len = static_cast<usize>(
+        std::min<u64>(kPage, capacity - page * kPage));
+    std::vector<u8> back(len);
+    ASSERT_TRUE(store.read(page * kPage, back)) << page;
+    for (usize i = 0; i < len; ++i) {
+      ASSERT_EQ(back[i], expected(page, i)) << "page " << page << " @" << i;
+    }
+  }
+  // An unwritten page between written leaves still reads zero.
+  std::vector<u8> gap(kPage, 0xFF);
+  ASSERT_TRUE(store.read((kLeaf + 1) * kPage, gap));
+  for (const u8 b : gap) ASSERT_EQ(b, 0);
+
+  // Checkpoint view: ascending page order, and a restore into a fresh
+  // store reproduces every page byte for byte.
+  std::vector<u64> visited;
+  SparseStore copy(capacity);
+  store.for_each_page([&](u64 index, std::span<const u8> bytes) {
+    visited.push_back(index);
+    EXPECT_TRUE(copy.restore_page(index, bytes)) << index;
+  });
+  EXPECT_EQ(visited, pages);
+  std::vector<std::vector<u8>> a, b;
+  store.for_each_page([&](u64, std::span<const u8> bytes) {
+    a.emplace_back(bytes.begin(), bytes.end());
+  });
+  copy.for_each_page([&](u64, std::span<const u8> bytes) {
+    b.emplace_back(bytes.begin(), bytes.end());
+  });
+  EXPECT_EQ(a, b);
+  EXPECT_FALSE(copy.restore_page(last_page + 1, a.front()));
 }
 
 }  // namespace

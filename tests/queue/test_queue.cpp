@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/random.hpp"
 
@@ -104,25 +107,70 @@ TEST(BoundedQueue, MoveOnlyEntries) {
 }
 
 TEST(BoundedQueue, RandomizedAgainstReferenceModel) {
-  BoundedQueue<u64> q(16);
+  // Move-only entries through every operation, including push_front
+  // overfill past the capacity and clear(), so freed slots are reused many
+  // times; after each step the whole FIFO (at(i) and iteration), the
+  // capacity view, the stats and the occupancy tally must match a plain
+  // vector model.
+  constexpr usize kCap = 16;
+  constexpr usize kOverfill = 5;
+  BoundedQueue<std::unique_ptr<u64>> q(kCap);
+  usize tally = 3;  // a shared tally counts on from where it stands
+  q.tally_into(&tally);
   std::vector<u64> model;
+  QueueStats stats;
   SplitMix64 rng(4);
   for (int step = 0; step < 20000; ++step) {
-    const u64 op = rng.next_below(3);
-    if (op == 0) {
-      const u64 v = rng.next();
-      const bool pushed = q.push(v);
-      EXPECT_EQ(pushed, model.size() < 16);
-      if (pushed) model.push_back(v);
-    } else if (op == 1 && !model.empty()) {
-      EXPECT_EQ(q.pop_front(), model.front());
-      model.erase(model.begin());
-    } else if (op == 2 && !model.empty()) {
-      const usize i = rng.next_below(model.size());
-      EXPECT_EQ(q.remove(i), model[i]);
-      model.erase(model.begin() + static_cast<std::ptrdiff_t>(i));
+    const u64 op = rng.next_below(100);
+    const u64 v = rng.next();
+    if (op < 40) {
+      const bool pushed = q.push(std::make_unique<u64>(v));
+      ASSERT_EQ(pushed, model.size() < kCap);
+      if (pushed) {
+        model.push_back(v);
+        ++stats.total_pushes;
+      } else {
+        ++stats.rejected_full;
+      }
+    } else if (op < 50) {
+      if (model.size() < kCap + kOverfill) {
+        q.push_front(std::make_unique<u64>(v));
+        model.insert(model.begin(), v);
+      }
+    } else if (op < 70) {
+      if (!model.empty()) {
+        ASSERT_EQ(*q.pop_front(), model.front());
+        model.erase(model.begin());
+        ++stats.total_pops;
+      }
+    } else if (op < 99) {
+      if (!model.empty()) {
+        const usize i = rng.next_below(model.size());
+        ASSERT_EQ(*q.remove(i), model[i]);
+        model.erase(model.begin() + static_cast<std::ptrdiff_t>(i));
+        ++stats.total_pops;
+      }
+    } else {
+      q.clear();
+      model.clear();
     }
+    stats.high_water = std::max(stats.high_water, model.size());
+
     ASSERT_EQ(q.size(), model.size());
+    ASSERT_EQ(tally, 3 + model.size());
+    ASSERT_EQ(q.empty(), model.empty());
+    ASSERT_EQ(q.full(), model.size() >= kCap);
+    ASSERT_EQ(q.free_slots(), model.size() >= kCap ? 0 : kCap - model.size());
+    for (usize i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(*q.at(i), model[i]) << "step " << step << " index " << i;
+    }
+    usize n = 0;
+    for (const auto& e : q) ASSERT_EQ(*e, model[n++]);
+    ASSERT_EQ(n, model.size());
+    ASSERT_EQ(q.stats().total_pushes, stats.total_pushes);
+    ASSERT_EQ(q.stats().total_pops, stats.total_pops);
+    ASSERT_EQ(q.stats().rejected_full, stats.rejected_full);
+    ASSERT_EQ(q.stats().high_water, stats.high_water);
   }
 }
 

@@ -72,6 +72,9 @@ TEST_F(ExitCodes, ZeroOnSuccess) {
 
 TEST_F(ExitCodes, OneOnBadInputFiles) {
   EXPECT_EQ(run(tool() + " --config " + path("missing.conf")), 1);
+  // A depth past the cap is a bad config file, not an allocation abort.
+  std::ofstream(path("deep.conf")) << "xbar_depth = 18446744073709551615\n";
+  EXPECT_EQ(run(tool() + " --config " + path("deep.conf")), 1);
   std::ofstream(path("bad.trace")) << "R 0x100 64\ngarbage here\n";
   EXPECT_EQ(run(tool() + " --workload trace --trace-in " +
                 path("bad.trace") + " --requests 16"),
