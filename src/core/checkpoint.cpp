@@ -1,6 +1,7 @@
 // Checkpoint serialization for Simulator (see simulator.hpp for the API
 // contract and checkpoint.hpp for the robustness layer).  Versioned
-// little-endian binary format; since v6 the body is section-framed:
+// little-endian binary format, one u64 word per scalar.  Every version is
+// the same sequence of section payloads; since v6 each one is framed:
 //
 //   magic "HMCSIMCK" | version u32
 //   section*:  type u32 | payload_len u64 | payload crc32k u32 | payload
@@ -8,7 +9,8 @@
 //
 // Mandatory section order: CFG, TOPO, CLK, DEVC (once per device), WDOG,
 // CHAO (mandatory since v8), an optional HOST blob, then the trailer.
-// Section payloads:
+// Versions 2-5 are the CFG..WDOG payloads back to back with no frame, CRC
+// or trailer (and no WDOG before v3).  Section payloads:
 //
 //   CFG   SimConfig fields
 //   TOPO  devices u32, links u32, endpoints[devices*links]
@@ -26,11 +28,13 @@
 // request fields are re-derived on load so the packet remains the single
 // source of truth.
 //
-// Restore is hostile-input safe: every failure mode — bad magic, short
-// read, CRC mismatch, impossible field value, unknown version — becomes a
-// typed CheckpointError, and no input can make it allocate unboundedly
-// (section lengths are capped and payloads are read in bounded chunks, so
-// a forged length only ever costs the bytes actually present).
+// Restore is one decoder per section behind a SectionReader that supplies
+// the framing (or none).  It is hostile-input safe: every failure mode —
+// bad magic, short read, CRC mismatch, impossible field value, unknown
+// version — becomes a typed CheckpointError, and no input can make it
+// allocate unboundedly (section lengths are capped and payloads are read
+// in bounded chunks, so a forged length only ever costs the bytes
+// actually present).
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -746,44 +750,34 @@ Status Simulator::save_checkpoint(std::ostream& os, CheckpointError* err,
   // Chaos campaign (v8).  The section is self-contained (plan bytes travel
   // with the cursor) so a resume needs no side files, and the CRC lets a
   // re-passed --chaos-plan be verified against the checkpointed campaign.
-  // With no campaign armed the payload is a fixed pristine form (empty-plan
-  // CRC, zero counters) rather than being omitted: every v8 stream then
-  // carries bytes a v7 parser cannot consume, so relabeling the version
-  // word can never turn one valid stream into another.
-  if (chaos_ != nullptr && !chaos_->plan().empty()) {
-    const ChaosPlan& plan = chaos_->plan();
-    put_u64(sec, chaos_->plan_crc());
-    put_u64(sec, chaos_->cursor());
-    put_u64(sec, chaos_->events_applied());
-    put_u64(sec, chaos_->invariant_checks());
-    put_u8(sec, chaos_->host_timeout_active() ? 1 : 0);
-    put_u64(sec, chaos_->host_timeout_value());
-    const DeviceConfig& base = chaos_->baseline();
-    put_u32(sec, base.link_error_rate_ppm);
-    put_u32(sec, base.link_error_burst_len);
-    put_u32(sec, base.dram_sbe_rate_ppm);
-    put_u32(sec, base.dram_dbe_rate_ppm);
-    put_u64(sec, plan.events.size());
-    for (const ChaosEvent& ev : plan.events) {
-      put_u64(sec, ev.cycle);
-      put_u8(sec, static_cast<u8>(ev.action));
-      put_u64(sec, ev.a);
-      put_u64(sec, ev.b);
-      put_u8(sec, ev.restore ? 1 : 0);
-      put_u32(sec, ev.line);
-    }
-  } else {
-    put_u64(sec, chaos_plan_crc(ChaosPlan{}));
-    put_u64(sec, 0);  // cursor
-    put_u64(sec, 0);  // events applied
-    put_u64(sec, 0);  // invariant checks
-    put_u8(sec, 0);   // host-timeout inactive
-    put_u64(sec, 0);  // host-timeout value
-    put_u32(sec, 0);  // baseline rates (unused without a campaign)
-    put_u32(sec, 0);
-    put_u32(sec, 0);
-    put_u32(sec, 0);
-    put_u64(sec, 0);  // event count
+  // With no campaign armed the same fields carry a fixed pristine form
+  // (empty-plan CRC, zero counters and baselines) rather than being
+  // omitted: every v8 stream then carries bytes a v7 parser cannot consume,
+  // so relabeling the version word can never turn one valid stream into
+  // another.
+  const ChaosEngine* run =
+      chaos_ != nullptr && !chaos_->plan().empty() ? chaos_.get() : nullptr;
+  const ChaosPlan no_plan;
+  const ChaosPlan& plan = run != nullptr ? run->plan() : no_plan;
+  put_u64(sec, chaos_plan_crc(plan));
+  put_u64(sec, run != nullptr ? run->cursor() : 0);
+  put_u64(sec, run != nullptr ? run->events_applied() : 0);
+  put_u64(sec, run != nullptr ? run->invariant_checks() : 0);
+  put_u8(sec, run != nullptr && run->host_timeout_active() ? 1 : 0);
+  put_u64(sec, run != nullptr ? run->host_timeout_value() : 0);
+  for (const auto rate :
+       {&DeviceConfig::link_error_rate_ppm, &DeviceConfig::link_error_burst_len,
+        &DeviceConfig::dram_sbe_rate_ppm, &DeviceConfig::dram_dbe_rate_ppm}) {
+    put_u32(sec, run != nullptr ? run->baseline().*rate : 0);
+  }
+  put_u64(sec, plan.events.size());
+  for (const ChaosEvent& ev : plan.events) {
+    put_u64(sec, ev.cycle);
+    put_u8(sec, static_cast<u8>(ev.action));
+    put_u64(sec, ev.a);
+    put_u64(sec, ev.b);
+    put_u8(sec, ev.restore ? 1 : 0);
+    put_u32(sec, ev.line);
   }
   emit(ckpt::kSectionChaos);
 
@@ -807,6 +801,198 @@ Status Simulator::save_checkpoint(std::ostream& os, CheckpointError* err,
 
 // ---- restore ---------------------------------------------------------------
 
+namespace {
+
+/// The container around the section payloads.  A framed stream (v6+) wraps
+/// each payload in type, length and CRC-32K words and ends in a trailer; a
+/// bare stream (v2-v5) is the same payloads back to back.  Each failure is
+/// recorded in `err` with the section and byte offset it concerns; a bare
+/// stream has no frame to point at, so past the preamble both stay 0.
+class SectionReader {
+ public:
+  SectionReader(std::istream& is, CheckpointError* err)
+      : is_(is), err_(err) {}
+
+  [[nodiscard]] u32 version() const { return version_; }
+  [[nodiscard]] bool framed() const { return version_ >= 6; }
+  [[nodiscard]] Status status() const { return status_; }
+  /// The open section's payload: the frame's bytes, or the bare stream.
+  [[nodiscard]] std::istream& in() { return framed() ? ps_ : is_; }
+  [[nodiscard]] const std::string& payload() const { return payload_; }
+
+  /// Magic and version word.
+  bool preamble() {
+    char magic[8];
+    if (!get_bytes(is_, magic, sizeof magic)) {
+      return stop(CheckpointErrorCode::ShortRead, offset_,
+                  "stream ended inside magic");
+    }
+    if (std::memcmp(magic, kMagic, sizeof magic) != 0) {
+      return stop(CheckpointErrorCode::BadMagic, offset_,
+                  "not a checkpoint stream");
+    }
+    offset_ = 8;
+    u64 word = 0;
+    if (!get_u64(is_, word)) {
+      return stop(CheckpointErrorCode::ShortRead, offset_,
+                  "stream ended inside version");
+    }
+    if (word < kMinVersion || word > kVersion) {
+      return stop(CheckpointErrorCode::UnsupportedVersion, offset_,
+                  "version " + std::to_string(word) + " outside [" +
+                      std::to_string(kMinVersion) + ", " +
+                      std::to_string(kVersion) + "]");
+    }
+    version_ = static_cast<u32>(word);
+    offset_ = framed() ? 16 : 0;
+    return true;
+  }
+
+  /// Start mandatory section `type`: framed, check its type word and read
+  /// its frame; bare, the payload is simply the stream's next bytes.
+  bool open(u32 type) {
+    if (!framed()) return true;
+    section_ = type;
+    u64 word = 0;
+    if (!get_u64(is_, word)) {
+      return stop(CheckpointErrorCode::ShortRead, offset_,
+                  "stream ended at section header");
+    }
+    if (word != type) {
+      const char* found = word <= 0xffffffffull
+                              ? ckpt::section_name(static_cast<u32>(word))
+                              : "?";
+      return stop(CheckpointErrorCode::BadSectionType, offset_,
+                  std::string("expected ") + ckpt::section_name(type) +
+                      ", found " + found);
+    }
+    return frame(type);
+  }
+
+  /// Read the length, CRC and payload of section `type`, whose type word
+  /// was just consumed.  Payload bytes are pulled in bounded chunks, so a
+  /// forged length costs only the bytes actually present.
+  bool frame(u32 type) {
+    section_ = type;
+    offset_ += 8;
+    u64 len = 0;
+    if (!get_u64(is_, len)) {
+      return stop(CheckpointErrorCode::ShortRead, offset_,
+                  "stream ended inside section length");
+    }
+    if (len > ckpt::kMaxSectionBytes) {
+      return stop(CheckpointErrorCode::SectionTooLarge, offset_,
+                  std::to_string(len) + " bytes exceeds section cap");
+    }
+    offset_ += 8;
+    u64 crc_word = 0;
+    if (!get_u64(is_, crc_word)) {
+      return stop(CheckpointErrorCode::ShortRead, offset_,
+                  "stream ended inside section crc");
+    }
+    if (crc_word > 0xffffffffull) {
+      return stop(CheckpointErrorCode::BadFieldValue, offset_,
+                  "crc word out of range");
+    }
+    offset_ += 8;
+    payload_off_ = offset_;
+    payload_.clear();
+    while (payload_.size() < len) {
+      constexpr u64 kChunk = u64{1} << 20;
+      const usize old_size = payload_.size();
+      const usize chunk = static_cast<usize>(std::min(len - old_size, kChunk));
+      payload_.resize(old_size + chunk);
+      is_.read(payload_.data() + old_size,
+               static_cast<std::streamsize>(chunk));
+      const u64 n = static_cast<u64>(is_.gcount());
+      if (n < chunk) {
+        return stop(CheckpointErrorCode::ShortRead, payload_off_ + old_size + n,
+                    "stream ended inside section payload");
+      }
+    }
+    offset_ += len;
+    if (payload_crc(payload_) != static_cast<u32>(crc_word)) {
+      return stop(CheckpointErrorCode::SectionCrcMismatch, payload_off_,
+                  "payload fails its crc32k");
+    }
+    ps_.clear();
+    ps_.str(payload_);
+    return true;
+  }
+
+  /// Framed only: the open payload must be used up.
+  bool close(const char* what) {
+    if (!framed() || ps_.peek() == std::istringstream::traits_type::eof()) {
+      return true;
+    }
+    (void)fail(std::string("trailing bytes after ") + what);
+    return false;
+  }
+
+  /// Past the last mandatory section: the next container word (an optional
+  /// section's type or the trailer), read outside any section.
+  bool next(u64& word) {
+    section_ = 0;
+    if (get_u64(is_, word)) return true;
+    return stop(CheckpointErrorCode::TrailerMissing, offset_,
+                "stream ended before trailer");
+  }
+
+  /// A payload read failed.  A read that ran out of bytes is a short read;
+  /// a word that was read in full and then rejected is a bad field value.
+  Status fail(std::string what) {
+    u64 at = 0;
+    if (framed()) {
+      const auto pos = ps_.tellg();
+      at = payload_off_ +
+           (pos >= 0 ? static_cast<u64>(pos) : payload_.size());
+    }
+    (void)stop(in().eof() ? CheckpointErrorCode::ShortRead
+                          : CheckpointErrorCode::BadFieldValue,
+               at, std::move(what));
+    return status_;
+  }
+
+  /// A decoded section failed a consistency check.
+  Status reject(std::string detail) {
+    (void)stop(CheckpointErrorCode::BadFieldValue, framed() ? payload_off_ : 0,
+               std::move(detail));
+    return status_;
+  }
+
+  /// The container itself is wrong at the current position.
+  Status error(CheckpointErrorCode code, std::string detail) {
+    (void)stop(code, offset_, std::move(detail));
+    return status_;
+  }
+
+ private:
+  bool stop(CheckpointErrorCode code, u64 at, std::string detail) {
+    if (err_ != nullptr) {
+      err_->code = code;
+      err_->offset = at;
+      err_->section = section_;
+      err_->detail = std::move(detail);
+    }
+    status_ = code == CheckpointErrorCode::BadFieldValue
+                  ? Status::InvalidConfig
+                  : Status::MalformedPacket;
+    return false;
+  }
+
+  std::istream& is_;
+  CheckpointError* err_;
+  Status status_{Status::Ok};
+  u32 version_{0};
+  u32 section_{0};
+  u64 offset_{0};  // framed: byte offset of the next unread stream byte
+  u64 payload_off_{0};
+  std::string payload_;
+  std::istringstream ps_;
+};
+
+}  // namespace
+
 Status Simulator::restore_checkpoint(std::istream& is) {
   return restore_checkpoint(is, nullptr, nullptr);
 }
@@ -815,447 +1001,127 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
                                      std::string* host_blob_out) {
   if (err != nullptr) *err = CheckpointError{};
   if (host_blob_out != nullptr) host_blob_out->clear();
+  SectionReader rd(is, err);
+  if (!rd.preamble()) return rd.status();
+  const u32 version = rd.version();
 
-  const auto preamble_fail = [&](CheckpointErrorCode code, u64 offset,
-                                 std::string detail) {
-    if (err != nullptr) {
-      err->code = code;
-      err->offset = offset;
-      err->section = 0;
-      err->detail = std::move(detail);
-    }
-    return Status::MalformedPacket;
-  };
-
-  char magic[8];
-  if (!get_bytes(is, magic, sizeof magic)) {
-    return preamble_fail(CheckpointErrorCode::ShortRead, 0,
-                         "stream ended inside magic");
-  }
-  if (std::memcmp(magic, kMagic, sizeof magic) != 0) {
-    return preamble_fail(CheckpointErrorCode::BadMagic, 0,
-                         "not a checkpoint stream");
-  }
-  u64 version_word = 0;
-  if (!get_u64(is, version_word)) {
-    return preamble_fail(CheckpointErrorCode::ShortRead, 8,
-                         "stream ended inside version");
-  }
-  if (version_word < kMinVersion || version_word > kVersion) {
-    return preamble_fail(CheckpointErrorCode::UnsupportedVersion, 8,
-                         "version " + std::to_string(version_word) +
-                             " outside [" + std::to_string(kMinVersion) +
-                             ", " + std::to_string(kVersion) + "]");
-  }
-  const u32 version = static_cast<u32>(version_word);
-  if (version >= 6) {
-    return restore_checkpoint_v6_(is, version, err, host_blob_out);
-  }
-  return restore_checkpoint_legacy_(is, version, err);
-}
-
-// Pre-v6 checkpoints are one continuous unframed stream; damage is only
-// detectable as a decode failure.  Errors are therefore coarser than the
-// v6 path: no section attribution and no byte offsets.
-Status Simulator::restore_checkpoint_legacy_(std::istream& is, u32 version,
-                                             CheckpointError* err) {
-  const auto fail = [&](Status st, CheckpointErrorCode code,
-                        std::string detail) {
-    if (err != nullptr) {
-      err->code = code;
-      err->offset = 0;
-      err->section = 0;
-      err->detail = std::move(detail);
-    }
-    return st;
-  };
-
+  // CFG.  Validate before sizing anything from file-supplied values: a
+  // hostile device count must not reach the Topology/Device allocators.
+  if (!rd.open(ckpt::kSectionConfig)) return rd.status();
   SimConfig config;
-  if (!get_u32(is, config.num_devices) ||
-      !get_device_config(is, config.device, version)) {
-    // A word that was read but failed its range check leaves the stream
-    // good; anything else ran out of bytes.
-    return is ? fail(Status::InvalidConfig,
-                     CheckpointErrorCode::BadFieldValue, "config block")
-              : fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                     "config block");
+  if (!get_u32(rd.in(), config.num_devices) ||
+      !get_device_config(rd.in(), config.device, version)) {
+    return rd.fail("config block");
   }
-  // Validate before sizing anything from file-supplied values: a hostile
-  // device count must not reach the Topology/Device allocators.
+  if (!rd.close("config")) return rd.status();
   std::string diag;
-  if (!ok(config.validate(&diag))) {
-    return fail(Status::InvalidConfig, CheckpointErrorCode::BadFieldValue,
-                diag);
-  }
+  if (!ok(config.validate(&diag))) return rd.reject(diag);
 
+  // TOPO
+  if (!rd.open(ckpt::kSectionTopology)) return rd.status();
   u32 topo_devices = 0, topo_links = 0;
-  if (!get_u32(is, topo_devices) || !get_u32(is, topo_links)) {
-    return fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                "topology header");
+  if (!get_u32(rd.in(), topo_devices) || !get_u32(rd.in(), topo_links)) {
+    return rd.fail("topology header");
   }
   if (topo_devices != config.num_devices ||
       topo_links != config.device.num_links) {
-    return fail(Status::InvalidConfig, CheckpointErrorCode::BadFieldValue,
-                "topology shape disagrees with config");
+    return rd.reject("topology shape disagrees with config");
   }
   Topology topo(topo_devices, topo_links);
   for (u32 d = 0; d < topo_devices; ++d) {
     for (u32 l = 0; l < topo_links; ++l) {
       u8 kind = 0;
       u32 peer_dev = 0, peer_link = 0;
-      if (!get_u8(is, kind) || !get_u32(is, peer_dev) ||
-          !get_u32(is, peer_link)) {
-        return fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                    "topology endpoint");
+      if (!get_u8(rd.in(), kind) || !get_u32(rd.in(), peer_dev) ||
+          !get_u32(rd.in(), peer_link)) {
+        return rd.fail("topology endpoint");
       }
       switch (static_cast<EndpointKind>(kind)) {
         case EndpointKind::Unconnected:
           break;
         case EndpointKind::Host:
           if (!ok(topo.connect_host(CubeId{d}, LinkId{l}))) {
-            return fail(Status::InvalidConfig,
-                        CheckpointErrorCode::BadFieldValue,
-                        "host endpoint rejected");
+            return rd.reject("host endpoint rejected");
           }
           break;
         case EndpointKind::Device:
           // connect() wires both directions; only apply the "forward" edge.
-          if (d < peer_dev || (d == peer_dev && l < peer_link)) {
-            if (!ok(topo.connect(CubeId{d}, LinkId{l}, CubeId{peer_dev},
-                                 LinkId{peer_link}))) {
-              return fail(Status::InvalidConfig,
-                          CheckpointErrorCode::BadFieldValue,
-                          "device endpoint rejected");
-            }
+          if ((d < peer_dev || (d == peer_dev && l < peer_link)) &&
+              !ok(topo.connect(CubeId{d}, LinkId{l}, CubeId{peer_dev},
+                               LinkId{peer_link}))) {
+            return rd.reject("device endpoint rejected");
           }
           break;
         default:
-          return fail(Status::MalformedPacket,
-                      CheckpointErrorCode::BadFieldValue,
-                      "unknown endpoint kind");
+          return rd.reject("unknown endpoint kind");
       }
     }
   }
+  if (!rd.close("topology")) return rd.status();
 
-  // fast_forward is not serialized (checkpoints are agnostic to the
-  // execution strategy); a restored simulator keeps the skip setting it
-  // already had.  The observability knobs
-  // (self_profile / telemetry_interval_cycles / flight_recorder_depth) are
-  // likewise pure observation: checkpoint bytes are identical with them on
-  // or off, and a restore keeps the current simulator's settings.  The
-  // checkpoint_interval_cycles knob follows the same rule: how often a run
-  // snapshots itself must not leak into the snapshot, and neither does the
-  // chaos_invariants check cadence (the campaign itself travels in CHAO).
+  // Execution and observability knobs are never serialized: checkpoint
+  // bytes are identical whatever they are set to (how often a run
+  // snapshots itself or checks chaos invariants must not leak into the
+  // snapshot), and a restore keeps the current simulator's settings.
   if (initialized()) {
-    config.device.fast_forward = config_.device.fast_forward;
+    for (const ConfigKnob& k : config_knobs()) {
+      if (k.since == 0) k.set(config.device, k.get(config_.device));
+    }
     config.device.self_profile = config_.device.self_profile;
     config.device.telemetry_interval_cycles =
         config_.device.telemetry_interval_cycles;
-    config.device.flight_recorder_depth =
-        config_.device.flight_recorder_depth;
-    config.device.checkpoint_interval_cycles =
-        config_.device.checkpoint_interval_cycles;
-    config.device.chaos_invariants = config_.device.chaos_invariants;
+    config.device.flight_recorder_depth = config_.device.flight_recorder_depth;
   }
   const Status init_status = init(config, std::move(topo));
   if (!ok(init_status)) {
-    return fail(init_status, CheckpointErrorCode::BadFieldValue,
-                "init rejected restored configuration");
-  }
-
-  if (!get_u64(is, cycle_)) {
-    return fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                "clock");
-  }
-
-  for (auto& dev_ptr : devices_) {
-    const char* what = "device block";
-    if (!get_device_block(is, *dev_ptr, version, custom_, &what)) {
-      return fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                  what);
-    }
-  }
-
-  if (version < 3) return Status::Ok;  // no watchdog tail
-
-  u8 fired = 0;
-  if (!get_u8(is, fired) || !get_u32(is, watchdog_stall_cycles_) ||
-      !get_u64(is, watchdog_fingerprint_)) {
-    return fail(Status::MalformedPacket, CheckpointErrorCode::ShortRead,
-                "watchdog tail");
-  }
-  watchdog_fired_ = fired != 0;
-  watchdog_report_ = watchdog_fired_ ? build_watchdog_report() : std::string{};
-
-  return Status::Ok;
-}
-
-Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
-                                         CheckpointError* err,
-                                         std::string* host_blob_out) {
-  // Byte offset of the next unread stream byte (magic + version consumed).
-  u64 offset = 16;
-  u32 cur_section = 0;
-  const auto fail = [&](CheckpointErrorCode code, u64 at,
-                        std::string detail) {
-    if (err != nullptr) {
-      err->code = code;
-      err->offset = at;
-      err->section = cur_section;
-      err->detail = std::move(detail);
-    }
-    return code == CheckpointErrorCode::BadFieldValue
-               ? Status::InvalidConfig
-               : Status::MalformedPacket;
-  };
-
-  std::string payload;
-  u64 payload_off = 0;
-  Status frame_status = Status::Ok;
-
-  // Read length + CRC + payload for the section whose type word has
-  // already been consumed.  Payload bytes are pulled in bounded chunks so
-  // a forged length never drives a huge up-front allocation — memory grows
-  // only with bytes actually present in the stream.
-  const auto read_frame_body = [&]() -> bool {
-    u64 len = 0;
-    if (!get_u64(is, len)) {
-      frame_status = fail(CheckpointErrorCode::ShortRead, offset,
-                          "stream ended inside section length");
-      return false;
-    }
-    if (len > ckpt::kMaxSectionBytes) {
-      frame_status =
-          fail(CheckpointErrorCode::SectionTooLarge, offset,
-               std::to_string(len) + " bytes exceeds section cap");
-      return false;
-    }
-    offset += 8;
-    u64 crc_word = 0;
-    if (!get_u64(is, crc_word)) {
-      frame_status = fail(CheckpointErrorCode::ShortRead, offset,
-                          "stream ended inside section crc");
-      return false;
-    }
-    if (crc_word > 0xffffffffull) {
-      frame_status = fail(CheckpointErrorCode::BadFieldValue, offset,
-                          "crc word out of range");
-      return false;
-    }
-    offset += 8;
-    payload_off = offset;
-    payload.clear();
-    u64 got = 0;
-    while (got < len) {
-      constexpr u64 kChunk = u64{1} << 20;
-      const usize chunk = static_cast<usize>(std::min(len - got, kChunk));
-      const usize old_size = payload.size();
-      payload.resize(old_size + chunk);
-      is.read(payload.data() + old_size,
-              static_cast<std::streamsize>(chunk));
-      const u64 n = static_cast<u64>(is.gcount());
-      if (n < chunk) {
-        frame_status = fail(CheckpointErrorCode::ShortRead,
-                            payload_off + got + n,
-                            "stream ended inside section payload");
-        return false;
-      }
-      got += n;
-    }
-    offset += len;
-    if (payload_crc(payload) != static_cast<u32>(crc_word)) {
-      frame_status = fail(CheckpointErrorCode::SectionCrcMismatch,
-                          payload_off, "payload fails its crc32k");
-      return false;
-    }
-    return true;
-  };
-
-  // Read one mandatory section: type word, then frame body.
-  const auto read_section = [&](u32 expected) -> bool {
-    u64 type_word = 0;
-    if (!get_u64(is, type_word)) {
-      cur_section = expected;
-      frame_status = fail(CheckpointErrorCode::ShortRead, offset,
-                          "stream ended at section header");
-      return false;
-    }
-    if (type_word != expected) {
-      cur_section = expected;
-      const char* found =
-          type_word <= 0xffffffffull
-              ? ckpt::section_name(static_cast<u32>(type_word))
-              : "?";
-      frame_status = fail(CheckpointErrorCode::BadSectionType, offset,
-                          std::string("expected ") +
-                              ckpt::section_name(expected) + ", found " +
-                              found);
-      return false;
-    }
-    cur_section = expected;
-    offset += 8;
-    return read_frame_body();
-  };
-
-  std::istringstream ps;
-  const auto open_payload = [&]() {
-    ps.clear();
-    ps.str(payload);
-  };
-  // A failure while decoding a CRC-verified payload is never stream
-  // truncation of the container; distinguish a payload that ran out of
-  // bytes (ShortRead) from a decoded value that failed validation.
-  const auto payload_fail = [&](const char* what) {
-    const auto pos = ps.tellg();
-    const u64 at =
-        payload_off + (pos >= 0 ? static_cast<u64>(pos) : payload.size());
-    const CheckpointErrorCode code = ps.eof()
-                                         ? CheckpointErrorCode::ShortRead
-                                         : CheckpointErrorCode::BadFieldValue;
-    return fail(code, at, what);
-  };
-  const auto payload_drained = [&]() {
-    return ps.peek() == std::istringstream::traits_type::eof();
-  };
-
-  // CFG ----------------------------------------------------------------
-  if (!read_section(ckpt::kSectionConfig)) return frame_status;
-  open_payload();
-  SimConfig config;
-  if (!get_u32(ps, config.num_devices) ||
-      !get_device_config(ps, config.device, version)) {
-    return payload_fail("config block");
-  }
-  if (!payload_drained()) return payload_fail("trailing bytes after config");
-  // Validate before sizing anything from file-supplied values: a hostile
-  // device count must not reach the Topology/Device allocators.
-  std::string diag;
-  if (!ok(config.validate(&diag))) {
-    return fail(CheckpointErrorCode::BadFieldValue, payload_off, diag);
-  }
-
-  // TOPO ---------------------------------------------------------------
-  if (!read_section(ckpt::kSectionTopology)) return frame_status;
-  open_payload();
-  u32 topo_devices = 0, topo_links = 0;
-  if (!get_u32(ps, topo_devices) || !get_u32(ps, topo_links)) {
-    return payload_fail("topology header");
-  }
-  if (topo_devices != config.num_devices ||
-      topo_links != config.device.num_links) {
-    return fail(CheckpointErrorCode::BadFieldValue, payload_off,
-                "topology shape disagrees with config");
-  }
-  Topology topo(topo_devices, topo_links);
-  for (u32 d = 0; d < topo_devices; ++d) {
-    for (u32 l = 0; l < topo_links; ++l) {
-      u8 kind = 0;
-      u32 peer_dev = 0, peer_link = 0;
-      if (!get_u8(ps, kind) || !get_u32(ps, peer_dev) ||
-          !get_u32(ps, peer_link)) {
-        return payload_fail("topology endpoint");
-      }
-      switch (static_cast<EndpointKind>(kind)) {
-        case EndpointKind::Unconnected:
-          break;
-        case EndpointKind::Host:
-          if (!ok(topo.connect_host(CubeId{d}, LinkId{l}))) {
-            return fail(CheckpointErrorCode::BadFieldValue, payload_off,
-                        "host endpoint rejected");
-          }
-          break;
-        case EndpointKind::Device:
-          // connect() wires both directions; only apply the "forward" edge.
-          if (d < peer_dev || (d == peer_dev && l < peer_link)) {
-            if (!ok(topo.connect(CubeId{d}, LinkId{l}, CubeId{peer_dev},
-                                 LinkId{peer_link}))) {
-              return fail(CheckpointErrorCode::BadFieldValue, payload_off,
-                          "device endpoint rejected");
-            }
-          }
-          break;
-        default:
-          return fail(CheckpointErrorCode::BadFieldValue, payload_off,
-                      "unknown endpoint kind");
-      }
-    }
-  }
-  if (!payload_drained()) {
-    return payload_fail("trailing bytes after topology");
-  }
-
-  // Execution/observability knobs are never serialized; a restored
-  // simulator keeps its own (see restore_checkpoint_legacy_ for the full
-  // rationale).
-  if (initialized()) {
-    config.device.fast_forward = config_.device.fast_forward;
-    config.device.self_profile = config_.device.self_profile;
-    config.device.telemetry_interval_cycles =
-        config_.device.telemetry_interval_cycles;
-    config.device.flight_recorder_depth =
-        config_.device.flight_recorder_depth;
-    config.device.checkpoint_interval_cycles =
-        config_.device.checkpoint_interval_cycles;
-    config.device.chaos_invariants = config_.device.chaos_invariants;
-  }
-  const Status init_status = init(config, std::move(topo));
-  if (!ok(init_status)) {
-    (void)fail(CheckpointErrorCode::BadFieldValue, payload_off,
-               "init rejected restored configuration");
+    (void)rd.reject("init rejected restored configuration");
     return init_status;
   }
 
-  // CLK ----------------------------------------------------------------
-  if (!read_section(ckpt::kSectionClock)) return frame_status;
-  open_payload();
-  if (!get_u64(ps, cycle_)) return payload_fail("clock");
-  if (!payload_drained()) return payload_fail("trailing bytes after clock");
+  // CLK
+  if (!rd.open(ckpt::kSectionClock)) return rd.status();
+  if (!get_u64(rd.in(), cycle_)) return rd.fail("clock");
+  if (!rd.close("clock")) return rd.status();
 
-  // DEVC × num_devices -------------------------------------------------
+  // DEVC x num_devices
   for (auto& dev_ptr : devices_) {
-    if (!read_section(ckpt::kSectionDevice)) return frame_status;
-    open_payload();
+    if (!rd.open(ckpt::kSectionDevice)) return rd.status();
     const char* what = "device block";
-    if (!get_device_block(ps, *dev_ptr, version, custom_, &what)) {
-      return payload_fail(what);
+    if (!get_device_block(rd.in(), *dev_ptr, version, custom_, &what)) {
+      return rd.fail(what);
     }
-    if (!payload_drained()) {
-      return payload_fail("trailing bytes after device block");
-    }
+    if (!rd.close("device block")) return rd.status();
   }
 
-  // WDOG ---------------------------------------------------------------
-  if (!read_section(ckpt::kSectionWatchdog)) return frame_status;
-  open_payload();
-  u8 fired = 0;
-  if (!get_u8(ps, fired) || !get_u32(ps, watchdog_stall_cycles_) ||
-      !get_u64(ps, watchdog_fingerprint_)) {
-    return payload_fail("watchdog tail");
+  // WDOG (v3 on; v2 keeps the quiet watchdog init() left).  The report is
+  // rebuilt from the restored state.
+  if (version >= 3) {
+    if (!rd.open(ckpt::kSectionWatchdog)) return rd.status();
+    u8 fired = 0;
+    if (!get_u8(rd.in(), fired) || !get_u32(rd.in(), watchdog_stall_cycles_) ||
+        !get_u64(rd.in(), watchdog_fingerprint_)) {
+      return rd.fail("watchdog tail");
+    }
+    if (!rd.close("watchdog")) return rd.status();
+    watchdog_fired_ = fired != 0;
+    watchdog_report_ =
+        watchdog_fired_ ? build_watchdog_report() : std::string{};
   }
-  if (!payload_drained()) {
-    return payload_fail("trailing bytes after watchdog");
-  }
-  watchdog_fired_ = fired != 0;
-  watchdog_report_ = watchdog_fired_ ? build_watchdog_report() : std::string{};
 
-  // CHAO (mandatory in v8), optional HOST, then trailer -----------------
-  cur_section = 0;
+  // CHAO, HOST and the trailer exist only in framed streams.
+  if (!rd.framed()) return Status::Ok;
   u64 tail_word = 0;
-  if (!get_u64(is, tail_word)) {
-    return fail(CheckpointErrorCode::TrailerMissing, offset,
-                "stream ended before trailer");
-  }
-  if (version >= 8 && tail_word != ckpt::kSectionChaos) {
-    return fail(CheckpointErrorCode::BadSectionType, offset,
-                "v8 stream is missing its chaos section");
-  }
-  // Version-gated both ways: a pre-v8 stream carrying a CHAO section is a
-  // forgery (e.g. a relabeled version word), not a legal layout.
-  if (version >= 8 && tail_word == ckpt::kSectionChaos) {
-    cur_section = ckpt::kSectionChaos;
-    offset += 8;
-    if (!read_frame_body()) return frame_status;
-    open_payload();
+  if (!rd.next(tail_word)) return rd.status();
+  // CHAO is mandatory from v8 on.  A pre-v8 stream carrying one is a
+  // forgery (e.g. a relabeled version word), not a legal layout, and fails
+  // below as a missing trailer.
+  if (version >= 8) {
+    if (tail_word != ckpt::kSectionChaos) {
+      return rd.error(CheckpointErrorCode::BadSectionType,
+                      "v8 stream is missing its chaos section");
+    }
+    if (!rd.frame(ckpt::kSectionChaos)) return rd.status();
+    std::istream& ps = rd.in();
     u64 stored_crc = 0, cursor = 0, events_applied = 0, invariant_checks = 0;
     u8 ht_active = 0;
     u64 ht_value = 0;
@@ -1267,13 +1133,13 @@ Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
         !get_u32(ps, base_ppm) || !get_u32(ps, base_burst) ||
         !get_u32(ps, base_sbe) || !get_u32(ps, base_dbe) ||
         !get_u64(ps, event_count)) {
-      return payload_fail("chaos campaign header");
+      return rd.fail("chaos campaign header");
     }
     if (event_count > kMaxChaosEvents) {
-      return payload_fail("chaos event count out of range");
+      return rd.fail("chaos event count out of range");
     }
     if (cursor > event_count) {
-      return payload_fail("chaos cursor runs past the plan");
+      return rd.fail("chaos cursor runs past the plan");
     }
     ChaosPlan plan;
     plan.events.reserve(static_cast<usize>(event_count));
@@ -1283,34 +1149,32 @@ Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
       if (!get_u64(ps, ev.cycle) || !get_u8(ps, action) ||
           !get_u64(ps, ev.a) || !get_u64(ps, ev.b) ||
           !get_u8(ps, restore_flag) || !get_u32(ps, ev.line)) {
-        return payload_fail("chaos event record");
+        return rd.fail("chaos event record");
       }
       if (action > static_cast<u8>(ChaosAction::BreakInvariant)) {
-        return payload_fail("unknown chaos action");
+        return rd.fail("unknown chaos action");
       }
       if (restore_flag > 1) {
-        return payload_fail("chaos restore flag out of range");
+        return rd.fail("chaos restore flag out of range");
       }
       ev.action = static_cast<ChaosAction>(action);
       ev.restore = restore_flag != 0;
       plan.events.push_back(ev);
     }
-    if (!payload_drained()) {
-      return payload_fail("trailing bytes after chaos campaign");
-    }
+    if (!rd.close("chaos campaign")) return rd.status();
     if (chaos_plan_crc(plan) != stored_crc) {
-      return payload_fail("chaos plan fails its own crc");
+      return rd.fail("chaos plan fails its own crc");
     }
     if (event_count == 0) {
       // No campaign was armed at save time.  The payload is a fixed
       // pristine form; anything else is bit damage, not a legal state.
+      // No engine to rebuild: the checker (if chaos_invariants is set on
+      // the live config) was already instantiated by init.
       if (events_applied != 0 || invariant_checks != 0 || ht_active != 0 ||
           ht_value != 0 || base_ppm != 0 || base_burst != 0 ||
           base_sbe != 0 || base_dbe != 0) {
-        return payload_fail("empty chaos campaign is not pristine");
+        return rd.fail("empty chaos campaign is not pristine");
       }
-      // No engine to rebuild: the checker (if chaos_invariants is set on
-      // the live config) was already instantiated by init.
     } else {
       // Rebuild the engine self-contained.  arm() re-validates structural
       // indices against the restored configuration, and the baselines are
@@ -1320,37 +1184,25 @@ Status Simulator::restore_checkpoint_v6_(std::istream& is, u32 version,
       chaos_->restore_baseline(base_ppm, base_burst, base_sbe, base_dbe);
       std::string chaos_diag;
       if (!ok(chaos_->arm(std::move(plan), config_.device, &chaos_diag))) {
-        return fail(CheckpointErrorCode::BadFieldValue, payload_off,
-                    "chaos plan rejected: " + chaos_diag);
+        return rd.reject("chaos plan rejected: " + chaos_diag);
       }
       if (!ok(chaos_->restore_progress(cursor, events_applied,
                                        invariant_checks, ht_active != 0,
                                        ht_value))) {
-        return payload_fail("chaos campaign progress rejected");
+        return rd.fail("chaos campaign progress rejected");
       }
     }
-    cur_section = 0;
-    if (!get_u64(is, tail_word)) {
-      return fail(CheckpointErrorCode::TrailerMissing, offset,
-                  "stream ended before trailer");
-    }
+    if (!rd.next(tail_word)) return rd.status();
   }
   if (tail_word == ckpt::kSectionHost) {
-    cur_section = ckpt::kSectionHost;
-    offset += 8;
-    if (!read_frame_body()) return frame_status;
-    if (host_blob_out != nullptr) *host_blob_out = payload;
-    cur_section = 0;
-    if (!get_u64(is, tail_word)) {
-      return fail(CheckpointErrorCode::TrailerMissing, offset,
-                  "stream ended before trailer");
-    }
+    if (!rd.frame(ckpt::kSectionHost)) return rd.status();
+    if (host_blob_out != nullptr) *host_blob_out = rd.payload();
+    if (!rd.next(tail_word)) return rd.status();
   }
   if (tail_word != kTrailerWord) {
-    return fail(CheckpointErrorCode::TrailerMissing, offset,
-                "expected trailer magic");
+    return rd.error(CheckpointErrorCode::TrailerMissing,
+                    "expected trailer magic");
   }
-
   return Status::Ok;
 }
 

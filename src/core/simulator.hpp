@@ -250,13 +250,17 @@ class Simulator {
                          std::string_view host_blob) const;
 
   /// Rebuild this simulator from a checkpoint stream.  Any existing state
-  /// is discarded.  Accepts every version back to v2; every failure —
-  /// bad magic, short read, section CRC mismatch, impossible field value,
-  /// unknown version — is converted into a typed CheckpointError (never an
-  /// abort or out-of-bounds access, whatever the input).  Status mapping:
-  /// MalformedPacket for structural damage, InvalidConfig for impossible
-  /// decoded values.  A v6 HOST section, when present, is handed back
-  /// verbatim through `host_blob_out`.
+  /// is discarded.  Accepts every version back to v2 through one decoder
+  /// per section: v6+ sections are framed and CRC-checked, v2–v5 are the
+  /// same payloads unframed.  Every failure — bad magic, short read,
+  /// section CRC mismatch, impossible field value, unknown version — is
+  /// converted into a typed CheckpointError (never an abort or
+  /// out-of-bounds access, whatever the input).  Status mapping:
+  /// MalformedPacket for structural damage and payloads that run out of
+  /// bytes, InvalidConfig (code BadFieldValue) for a word read in full and
+  /// then rejected.  An unframed stream reports section 0 and offset 0.
+  /// A HOST section, when present, is handed back verbatim through
+  /// `host_blob_out`.
   Status restore_checkpoint(std::istream& is);
   Status restore_checkpoint(std::istream& is, CheckpointError* err,
                             std::string* host_blob_out);
@@ -273,15 +277,6 @@ class Simulator {
                                  std::string* host_blob_out = nullptr);
 
  private:
-  // Version-dispatched restore bodies (core/checkpoint.cpp).  The legacy
-  // path parses the pre-v6 continuous stream; the v6 path walks the
-  // section frames.
-  Status restore_checkpoint_legacy_(std::istream& is, u32 version,
-                                    CheckpointError* err);
-  Status restore_checkpoint_v6_(std::istream& is, u32 version,
-                                CheckpointError* err,
-                                std::string* host_blob_out);
-
   /// A cross-device request forward staged during a crossbar stage and
   /// pushed by flush_outboxes once every device in the stage has run
   /// (two-phase push: each device reserves capacity against the stage-start

@@ -76,7 +76,10 @@ bool SparseStore::write(u64 addr, std::span<const u8> in) {
 
 bool SparseStore::restore_page(u64 page_index, std::span<const u8> bytes) {
   if (bytes.size() != kPageBytes) return false;
-  if (page_index * kPageBytes >= capacity_) return false;
+  // Compare in pages: a forged index must not wrap the byte product.
+  if (page_index >= capacity_ / kPageBytes + (capacity_ % kPageBytes != 0)) {
+    return false;
+  }
   Page& page = materialize_page(page_index);
   std::memcpy(page.data(), bytes.data(), kPageBytes);
   return true;
@@ -110,7 +113,7 @@ bool SparseStore::plant_fault(u64 addr, std::span<const u32> codeword_bits) {
 
 bool SparseStore::restore_fault(u64 word_index, u64 data_flips,
                                 u8 check_flips) {
-  if (word_index * 8 >= capacity_) return false;
+  if (word_index >= capacity_ / 8 + (capacity_ % 8 != 0)) return false;
   if (data_flips == 0 && check_flips == 0) return false;
   faults_[word_index] = FaultRecord{data_flips, check_flips};
   return true;

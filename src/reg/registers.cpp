@@ -1,5 +1,7 @@
 #include "reg/registers.hpp"
 
+#include <bit>
+
 namespace hmcsim {
 namespace {
 
@@ -86,7 +88,7 @@ void RegisterFile::reset() {
   for (const auto& def : kTable) {
     values_[static_cast<usize>(def.linear)] = def.reset_value;
   }
-  pending_self_clear_.fill(false);
+  pending_self_clear_ = 0;
 }
 
 bool RegisterFile::present(Reg r) const {
@@ -121,7 +123,7 @@ Status RegisterFile::write(Reg r, u64 value) {
       return Status::Ok;
     case RegClass::RWS:
       values_[static_cast<usize>(r)] = value;
-      pending_self_clear_[static_cast<usize>(r)] = true;
+      pending_self_clear_ |= u64{1} << static_cast<usize>(r);
       return Status::Ok;
   }
   return Status::Internal;
@@ -140,11 +142,25 @@ Status RegisterFile::write_phys(u32 phys_index, u64 value) {
 }
 
 void RegisterFile::clock_edge() {
+  for (u64 m = pending_self_clear_; m != 0; m &= m - 1) {
+    values_[static_cast<usize>(std::countr_zero(m))] = 0;
+  }
+  pending_self_clear_ = 0;
+}
+
+RegisterFile::Snapshot RegisterFile::snapshot() const {
+  Snapshot s{values_, {}};
   for (usize i = 0; i < kRegCount; ++i) {
-    if (pending_self_clear_[i]) {
-      values_[i] = 0;
-      pending_self_clear_[i] = false;
-    }
+    s.pending_self_clear[i] = (pending_self_clear_ >> i) & 1;
+  }
+  return s;
+}
+
+void RegisterFile::restore(const Snapshot& s) {
+  values_ = s.values;
+  pending_self_clear_ = 0;
+  for (usize i = 0; i < kRegCount; ++i) {
+    if (s.pending_self_clear[i]) pending_self_clear_ |= u64{1} << i;
   }
 }
 

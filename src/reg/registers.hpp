@@ -133,10 +133,7 @@ class RegisterFile {
   /// next clock_edge() is not a no-op.  The idle-cycle fast-forward engine
   /// refuses to arm until this drains (it clears within one slow cycle).
   [[nodiscard]] bool any_pending_self_clear() const {
-    for (const bool pending : pending_self_clear_) {
-      if (pending) return true;
-    }
-    return false;
+    return pending_self_clear_ != 0;
   }
 
   [[nodiscard]] u32 links() const { return links_; }
@@ -150,18 +147,16 @@ class RegisterFile {
     std::array<u64, kRegCount> values{};
     std::array<bool, kRegCount> pending_self_clear{};
   };
-  [[nodiscard]] Snapshot snapshot() const {
-    return Snapshot{values_, pending_self_clear_};
-  }
-  void restore(const Snapshot& s) {
-    values_ = s.values;
-    pending_self_clear_ = s.pending_self_clear;
-  }
+  [[nodiscard]] Snapshot snapshot() const;
+  void restore(const Snapshot& s);
 
  private:
   u32 links_;
   std::array<u64, kRegCount> values_{};
-  std::array<bool, kRegCount> pending_self_clear_{};
+  // Pending RWS self-clear flags, bit i for linear register i, so an idle
+  // clock edge costs one test instead of a walk over every register.
+  u64 pending_self_clear_{0};
+  static_assert(kRegCount <= 64, "pending self-clear mask is one u64");
 };
 
 }  // namespace hmcsim

@@ -50,6 +50,8 @@
 #include <vector>
 
 #include "chaos/plan.hpp"
+#include "core/config_file.hpp"
+#include "packet/crc32.hpp"
 #include "tests/core/helpers.hpp"
 #include "topo/topology.hpp"
 #include "workload/driver.hpp"
@@ -598,6 +600,239 @@ TEST(CheckpointCompat, QueueDepthsPastTheCapAreRejected) {
     EXPECT_NE(err.detail.find("queue depths must be at most"),
               std::string::npos)
         << err.detail;
+  }
+}
+
+// ---- error contract ---------------------------------------------------------
+
+struct Frame {
+  u32 type;
+  usize at;  // offset of the type word
+  usize len;
+  usize payload() const { return at + 24; }
+};
+
+u64 get_word(const std::string& bytes, usize at) {
+  u64 v = 0;
+  for (usize b = 0; b < 8; ++b) {
+    v |= static_cast<u64>(static_cast<u8>(bytes[at + b])) << (8 * b);
+  }
+  return v;
+}
+
+void put_word(std::string& bytes, usize at, u64 v) {
+  for (usize b = 0; b < 8; ++b) bytes[at + b] = static_cast<char>(v >> (8 * b));
+}
+
+/// The section frames of a framed (v6+) stream, in order, and the offset
+/// of its trailer.
+std::vector<Frame> frames_of(const std::string& bytes, usize* trailer_at) {
+  std::vector<Frame> frames;
+  usize at = 16;
+  while (at + 8 <= bytes.size() && get_word(bytes, at) <= 0xffffffffull) {
+    frames.push_back({static_cast<u32>(get_word(bytes, at)), at,
+                      static_cast<usize>(get_word(bytes, at + 8))});
+    at = frames.back().payload() + frames.back().len;
+  }
+  *trailer_at = at;
+  return frames;
+}
+
+/// `bytes` with frame `f`'s payload replaced and its length and CRC fixed,
+/// so the damage reaches the section decoder.
+std::string with_payload(const std::string& bytes, const Frame& f,
+                         const std::string& payload) {
+  std::string out = bytes.substr(0, f.payload()) + payload +
+                    bytes.substr(f.payload() + f.len);
+  put_word(out, f.at + 8, payload.size());
+  put_word(out, f.at + 16,
+           crc::crc32k(std::span<const u8>(
+               reinterpret_cast<const u8*>(payload.data()), payload.size())));
+  return out;
+}
+
+struct ErrorCase {
+  std::string name;
+  std::string bytes;
+  Status status;
+  CheckpointErrorCode code;
+  u32 section;
+  u64 offset;
+};
+
+void expect_error(const ErrorCase& c) {
+  Simulator sim;
+  CheckpointError err;
+  std::istringstream is(c.bytes);
+  EXPECT_EQ(sim.restore_checkpoint(is, &err, nullptr), c.status) << c.name;
+  EXPECT_EQ(err.code, c.code) << c.name << ": " << err.message();
+  EXPECT_EQ(err.section, c.section) << c.name << ": " << err.message();
+  EXPECT_EQ(err.offset, c.offset) << c.name << ": " << err.message();
+}
+
+TEST(CheckpointCompat, ErrorContract) {
+  using Code = CheckpointErrorCode;
+  constexpr Status kMalformed = Status::MalformedPacket;
+  constexpr Status kInvalid = Status::InvalidConfig;
+  const std::string v8 = read_fixture(8);
+  usize trailer = 0;
+  const std::vector<Frame> frames = frames_of(v8, &trailer);
+  ASSERT_EQ(trailer + 8, v8.size());
+  const u32 kOrder[] = {ckpt::kSectionConfig, ckpt::kSectionTopology,
+                        ckpt::kSectionClock,  ckpt::kSectionDevice,
+                        ckpt::kSectionWatchdog, ckpt::kSectionChaos};
+  ASSERT_EQ(frames.size(), std::size(kOrder)) << "one device, no HOST";
+  for (usize i = 0; i < frames.size(); ++i) {
+    ASSERT_EQ(frames[i].type, kOrder[i]) << i;
+  }
+
+  std::string version9 = v8;
+  put_word(version9, 8, 9);
+  std::vector<ErrorCase> cases = {
+      {"empty stream", "", kMalformed, Code::ShortRead, 0, 0},
+      {"cut in magic", v8.substr(0, 5), kMalformed, Code::ShortRead, 0, 0},
+      {"bad magic", "HMCSIMXX" + v8.substr(8), kMalformed, Code::BadMagic, 0,
+       0},
+      {"cut in version", v8.substr(0, 12), kMalformed, Code::ShortRead, 0, 8},
+      {"version 9", version9, kMalformed, Code::UnsupportedVersion, 0, 8},
+  };
+  for (usize i = 0; i < frames.size(); ++i) {
+    const Frame& f = frames[i];
+    const std::string name = ckpt::section_name(f.type);
+    // The CHAO type word is read where a trailer may stand instead, so its
+    // header faults are reported outside any section.
+    const bool chao = f.type == ckpt::kSectionChaos;
+    cases.push_back({name + " cut in type", v8.substr(0, f.at + 3), kMalformed,
+                     chao ? Code::TrailerMissing : Code::ShortRead,
+                     chao ? 0 : f.type, f.at});
+    cases.push_back({name + " cut in length", v8.substr(0, f.at + 11),
+                     kMalformed, Code::ShortRead, f.type, f.at + 8});
+    cases.push_back({name + " cut in crc", v8.substr(0, f.at + 19),
+                     kMalformed, Code::ShortRead, f.type, f.at + 16});
+    const usize mid = f.payload() + f.len / 2;
+    cases.push_back({name + " cut in payload", v8.substr(0, mid), kMalformed,
+                     Code::ShortRead, f.type, mid});
+
+    std::string flipped = v8;
+    flipped[mid] ^= 0x01;
+    cases.push_back({name + " flipped payload byte", flipped, kMalformed,
+                     Code::SectionCrcMismatch, f.type, f.payload()});
+
+    std::string swapped = v8;
+    put_word(swapped, f.at, frames[(i + 1) % frames.size()].type);
+    cases.push_back({name + " swapped type", swapped, kMalformed,
+                     Code::BadSectionType, chao ? 0 : f.type, f.at});
+
+    std::string long_len = v8;
+    put_word(long_len, f.at + 8, ckpt::kMaxSectionBytes + 1);
+    cases.push_back({name + " length over cap", long_len, kMalformed,
+                     Code::SectionTooLarge, f.type, f.at + 8});
+
+    std::string wide_crc = v8;
+    put_word(wide_crc, f.at + 16, u64{1} << 32);
+    cases.push_back({name + " crc word above 2^32", wide_crc, kInvalid,
+                     Code::BadFieldValue, f.type, f.at + 16});
+  }
+
+  const Frame& cfg = frames[0];
+  const Frame& topo = frames[1];
+  const Frame& clk = frames[2];
+  const Frame& wdog = frames[4];
+  const Frame& chao = frames[5];
+  const std::string cfg_payload = v8.substr(cfg.payload(), cfg.len);
+  const std::string topo_payload = v8.substr(topo.payload(), topo.len);
+  const std::string clk_payload = v8.substr(clk.payload(), clk.len);
+  const std::string wdog_payload = v8.substr(wdog.payload(), wdog.len);
+
+  cases.push_back({"v8 without CHAO",
+                   v8.substr(0, chao.at) + v8.substr(trailer), kMalformed,
+                   Code::BadSectionType, 0, chao.at});
+  cases.push_back({"cut at trailer", v8.substr(0, trailer), kMalformed,
+                   Code::TrailerMissing, 0, trailer});
+  cases.push_back({"cut in trailer", v8.substr(0, trailer + 4), kMalformed,
+                   Code::TrailerMissing, 0, trailer});
+  cases.push_back({"replaced trailer", v8.substr(0, trailer) + "HMCSIMXX",
+                   kMalformed, Code::TrailerMissing, 0, trailer});
+
+  // Damage under a valid CRC reaches the section decoders.  A word read in
+  // full and then rejected is a bad field; a payload that runs dry is a
+  // short read at its end.
+  std::string zero_devices = cfg_payload;
+  put_word(zero_devices, 0, 0);
+  cases.push_back({"CFG fails validate", with_payload(v8, cfg, zero_devices),
+                   kInvalid, Code::BadFieldValue, cfg.type, cfg.payload()});
+  std::string bad_kind = topo_payload;
+  put_word(bad_kind, 16, 7);
+  cases.push_back({"TOPO unknown endpoint kind",
+                   with_payload(v8, topo, bad_kind), kInvalid,
+                   Code::BadFieldValue, topo.type, topo.payload()});
+  cases.push_back(
+      {"TOPO payload runs dry",
+       with_payload(v8, topo, topo_payload.substr(0, topo_payload.size() - 8)),
+       kMalformed, Code::ShortRead, topo.type,
+       topo.payload() + topo_payload.size() - 8});
+  cases.push_back({"CLK trailing bytes",
+                   with_payload(v8, clk, clk_payload + std::string(8, '\0')),
+                   kInvalid, Code::BadFieldValue, clk.type, clk.payload() + 8});
+  std::string fired_wide = wdog_payload;
+  put_word(fired_wide, 0, 0x100);
+  cases.push_back({"WDOG fired word out of range",
+                   with_payload(v8, wdog, fired_wide), kInvalid,
+                   Code::BadFieldValue, wdog.type, wdog.payload() + 8});
+
+  for (const ErrorCase& c : cases) expect_error(c);
+
+  // Unframed streams have no frame to point at: every failure reports
+  // section 0, offset 0, except inside the version word.  A cut never
+  // leaves a whole word behind to reject, so it is always a short read.
+  for (const u32 version : {2u, 3u, 4u, 5u}) {
+    const std::string legacy = read_fixture(version);
+    for (usize n = 0; n < legacy.size(); n += n < 512 ? 7 : 997) {
+      expect_error({"v" + std::to_string(version) + " cut at " +
+                        std::to_string(n),
+                    legacy.substr(0, n), kMalformed, Code::ShortRead, 0,
+                    n >= 8 && n < 16 ? 8u : 0u});
+    }
+  }
+}
+
+TEST(CheckpointCompat, LegacyRejectedWordsAreBadFieldValues) {
+  // Unframed streams follow the framed rule: a word that was read in full
+  // and then rejected is a bad field value, not a short read.  Word
+  // offsets into checkpoint_v5.bin: magic, version, num_devices, the CFG
+  // rows v5 carries, TOPO, clock, then the device block's 46 v5 counters,
+  // register values and flags, and the page count.
+  const std::string v5 = read_fixture(5);
+  const auto word = [&](usize w) { return get_word(v5, 8 * w); };
+  usize topo = 3;
+  for (const ConfigKnob& k : config_knobs()) {
+    if (k.since != 0 && k.since <= 5) ++topo;
+  }
+  ASSERT_EQ(word(topo), 1u) << "one device";
+  ASSERT_EQ(word(topo + 1), 4u) << "four links";
+  const usize pages = topo + 2 + 3 * 4 + 1 + 46 + 2 * kRegCount;
+  ASSERT_GT(word(pages), 0u);
+  ASSERT_LT(word(pages + 1), u64{1} << 20) << "first page index";
+  const usize watchdog = v5.size() / 8 - 3;
+  ASSERT_EQ(word(watchdog), 0u) << "watchdog fired flag";
+
+  const struct {
+    const char* name;
+    usize word;
+    u64 value;
+  } cases[] = {
+      {"topology link count above 2^32", topo + 1, u64{1} << 32},
+      {"unknown endpoint kind", topo + 2, 7},
+      {"endpoint peer above 2^32", topo + 3, u64{1} << 32},
+      // The byte address of this index wraps 2^64 to zero.
+      {"page index past capacity", pages + 1, u64{1} << 52},
+      {"watchdog fired word above 0xff", watchdog, 0x100},
+  };
+  for (const auto& c : cases) {
+    std::string mutated = v5;
+    put_word(mutated, 8 * c.word, c.value);
+    expect_error({c.name, mutated, Status::InvalidConfig,
+                  CheckpointErrorCode::BadFieldValue, 0, 0});
   }
 }
 

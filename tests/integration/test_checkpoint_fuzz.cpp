@@ -1,15 +1,17 @@
 // Checkpoint restore under hostile input: a structure-aware mutator
-// derives >10k corrupted checkpoints from a valid base — truncations, bit
-// flips, word-level splices, forged lengths and versions — and every one
-// must come back as a typed CheckpointError.  No abort, no sanitizer
+// derives >10k corrupted checkpoints from a valid v8 base — truncations,
+// bit flips, word-level splices, forged lengths and versions — and every
+// one must come back as a typed CheckpointError.  No abort, no sanitizer
 // report, no silent acceptance of damaged state (the section CRCs make a
-// mutated-but-accepted stream effectively impossible).
+// mutated-but-accepted stream effectively impossible).  The same mutator
+// then runs over the committed unframed v2..v5 fixtures.
 //
 // Labeled fuzz+slow, not tier1: the loop is minutes-scale under
 // sanitizers and the merge gate covers the same paths via
 // test_checkpoint_compat.cpp.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -17,6 +19,10 @@
 #include "core/simulator.hpp"
 #include "tests/core/helpers.hpp"
 #include "workload/driver.hpp"
+
+#ifndef HMCSIM_GOLDEN_DIR
+#define HMCSIM_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace hmcsim {
 namespace {
@@ -144,6 +150,54 @@ TEST(CheckpointFuzz, MutatedCheckpointsAlwaysFailTyped) {
   // 5 of the 6 mutation classes); `accepted` is the unread-tail class.
   EXPECT_GT(rejected, 9000);
   EXPECT_GT(accepted, 0);
+}
+
+TEST(CheckpointFuzz, MutatedLegacyCheckpointsFailTypedOrResave) {
+  // v2..v5 streams carry no CRC and no trailer, so damage inside them can
+  // decode into another legal state: acceptance is the format's limit, not
+  // a bug.  What must hold is the rest of the contract: a rejection is
+  // typed, and an accepted stream leaves a simulator that saves again.
+  for (const u32 version : {2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    std::ifstream in(std::string(HMCSIM_GOLDEN_DIR) +
+                         "/checkpoints/checkpoint_v" +
+                         std::to_string(version) + ".bin",
+                     std::ios::binary);
+    ASSERT_TRUE(in);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string base = std::move(buf).str();
+    ASSERT_GT(base.size(), 64u);
+    SplitMix64 rng(0x1E6AC7 + version);
+
+    int rejected = 0;
+    int accepted = 0;
+    for (int iter = 0; iter < 1000; ++iter) {
+      std::string m = mutate(base, rng);
+      if (rng.next_below(4) == 0) m = mutate(m, rng);  // stacked damage
+      if (m == base) continue;
+
+      std::istringstream is(m);
+      Simulator sim;
+      CheckpointError err;
+      const Status st = sim.restore_checkpoint(is, &err, nullptr);
+      if (ok(st)) {
+        ++accepted;
+        ASSERT_TRUE(sim.initialized()) << "iter " << iter;
+        std::ostringstream resaved;
+        ASSERT_EQ(sim.save_checkpoint(resaved), Status::Ok) << "iter " << iter;
+      } else {
+        ++rejected;
+        EXPECT_NE(err.code, CheckpointErrorCode::None)
+            << "untyped failure at iter " << iter;
+        EXPECT_FALSE(err.message().empty());
+      }
+    }
+    // Truncation, version forgery and most word edits are caught; tail
+    // garbage and payload-byte flips restore.
+    EXPECT_GT(rejected, 300);
+    EXPECT_GT(accepted, 0);
+  }
 }
 
 TEST(CheckpointFuzz, MutatedHostBlobsAlwaysFailCleanly) {

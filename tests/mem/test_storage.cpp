@@ -56,6 +56,23 @@ TEST(SparseStore, OverflowingRangeRejected) {
   EXPECT_FALSE(store.read(~u64{0} - 4, buf));  // addr + size wraps
 }
 
+TEST(SparseStore, RestoreRejectsIndicesWhoseByteAddressWraps) {
+  // Checkpoint restore hands these indices in from the stream.  An index
+  // whose byte address wraps 2^64 must not pass as a low address.
+  SparseStore store(u64{1} << 20);
+  const std::vector<u8> page(SparseStore::kPageBytes, 0xAB);
+  EXPECT_FALSE(store.restore_page(u64{1} << 52, page));
+  EXPECT_FALSE(store.restore_page(store.capacity() / SparseStore::kPageBytes,
+                                  page));
+  EXPECT_TRUE(store.restore_page(
+      store.capacity() / SparseStore::kPageBytes - 1, page));
+  EXPECT_FALSE(store.restore_fault(u64{1} << 61, 1, 0));
+  EXPECT_FALSE(store.restore_fault(store.capacity() / 8, 1, 0));
+  EXPECT_TRUE(store.restore_fault(store.capacity() / 8 - 1, 1, 0));
+  EXPECT_EQ(store.resident_pages(), 1u);
+  EXPECT_EQ(store.fault_count(), 1u);
+}
+
 TEST(SparseStore, WordHelpersAreLittleEndian) {
   SparseStore store(1 << 16);
   const u64 word = 0x0123456789abcdefull;

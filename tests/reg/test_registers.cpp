@@ -82,6 +82,33 @@ TEST(RegisterFile, RwsSelfClearsAtClockEdge) {
   EXPECT_EQ(v, 0u);
 }
 
+TEST(RegisterFile, RestoredPendingFlagClearsAtNextEdge) {
+  // A snapshot taken between an RWS write and its edge carries the pending
+  // flag; the restored file must clear both value and flag at one edge.
+  RegisterFile rf(4);
+  RegisterFile::Snapshot s = rf.snapshot();
+  const usize edr2 = static_cast<usize>(Reg::Edr2);
+  const usize gc = static_cast<usize>(Reg::Gc);
+  s.values[edr2] = 0xBEEF;
+  s.pending_self_clear[edr2] = true;
+  s.values[gc] = 0x77;  // RW, not pending: must survive the edge
+  rf.restore(s);
+  EXPECT_TRUE(rf.any_pending_self_clear());
+  EXPECT_TRUE(rf.snapshot().pending_self_clear[edr2]);
+
+  rf.clock_edge();
+  u64 v = 1;
+  ASSERT_EQ(rf.read(Reg::Edr2, v), Status::Ok);
+  EXPECT_EQ(v, 0u);
+  ASSERT_EQ(rf.read(Reg::Gc, v), Status::Ok);
+  EXPECT_EQ(v, 0x77u);
+  EXPECT_FALSE(rf.any_pending_self_clear());
+  const RegisterFile::Snapshot after = rf.snapshot();
+  for (usize i = 0; i < kRegCount; ++i) {
+    EXPECT_FALSE(after.pending_self_clear[i]) << i;
+  }
+}
+
 TEST(RegisterFile, FourLinkPartsLackHighLinkRegisters) {
   RegisterFile rf4(4);
   u64 v = 0;
