@@ -1163,7 +1163,7 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
     }
     if (!rd.close("chaos campaign")) return rd.status();
     if (chaos_plan_crc(plan) != stored_crc) {
-      return rd.fail("chaos plan fails its own crc");
+      return rd.reject("chaos plan fails its own crc");
     }
     if (event_count == 0) {
       // No campaign was armed at save time.  The payload is a fixed
@@ -1173,7 +1173,7 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
       if (events_applied != 0 || invariant_checks != 0 || ht_active != 0 ||
           ht_value != 0 || base_ppm != 0 || base_burst != 0 ||
           base_sbe != 0 || base_dbe != 0) {
-        return rd.fail("empty chaos campaign is not pristine");
+        return rd.reject("empty chaos campaign is not pristine");
       }
     } else {
       // Rebuild the engine self-contained.  arm() re-validates structural
@@ -1189,7 +1189,7 @@ Status Simulator::restore_checkpoint(std::istream& is, CheckpointError* err,
       if (!ok(chaos_->restore_progress(cursor, events_applied,
                                        invariant_checks, ht_active != 0,
                                        ht_value))) {
-        return rd.fail("chaos campaign progress rejected");
+        return rd.reject("chaos campaign progress rejected");
       }
     }
     if (!rd.next(tail_word)) return rd.status();

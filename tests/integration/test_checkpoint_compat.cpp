@@ -779,6 +779,13 @@ TEST(CheckpointCompat, ErrorContract) {
   cases.push_back({"WDOG fired word out of range",
                    with_payload(v8, wdog, fired_wide), kInvalid,
                    Code::BadFieldValue, wdog.type, wdog.payload() + 8});
+  // The plan CRC is checked after the payload is drained: a consistency
+  // rejection of the whole section, not a short read at its end.
+  std::string chao_payload = v8.substr(chao.payload(), chao.len);
+  put_word(chao_payload, 0, get_word(chao_payload, 0) ^ 1);
+  cases.push_back({"CHAO plan fails its own crc",
+                   with_payload(v8, chao, chao_payload), kInvalid,
+                   Code::BadFieldValue, chao.type, chao.payload()});
 
   for (const ErrorCase& c : cases) expect_error(c);
 
