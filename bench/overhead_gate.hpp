@@ -19,8 +19,14 @@
 // of the same round: on a shared 4-CPU host one arm's bursts spread by
 // 40-80% across a run, far more than within a round.  Scored as best-of
 // over rounds, as the per-gate benches did, the same bursts put two off
-// arms up to 5.6% apart (ROADMAP item 5).  Each arm's recorded rate is its
-// median round.
+// arms up to 5.6% apart (ROADMAP item 5).  Each arm's recorded rate comes
+// from the same per-round ratios: the baseline's median round rate (the
+// off arms' mean burst, or every arm's when a gate has no off arm),
+// divided by the median over rounds of the arm's burst over the baseline's
+// in that round.  So two off arms' rates differ exactly as their scored gap
+// says (for an odd round count), and an on arm's rate sits below the
+// baseline's by its scored overhead.  An arm's recorded seconds stay its
+// measured median burst.
 #pragma once
 
 #include <algorithm>
@@ -140,10 +146,39 @@ struct GateRun {
   std::vector<std::string> failures;  ///< work checks
   std::vector<std::string> breaches;  ///< thresholds
 
+  /// The baseline's burst in round `r`: the off arms' mean, or every
+  /// arm's when the gate has no off arm.
+  [[nodiscard]] double baseline_seconds(u64 r) const {
+    const bool any_off = std::any_of(
+        arms.begin(), arms.end(), [](const ArmRun& a) { return a.arm->off; });
+    double sum = 0.0;
+    usize n = 0;
+    for (const ArmRun& a : arms) {
+      if (any_off && !a.arm->off) continue;
+      sum += a.bursts[r];
+      ++n;
+    }
+    return n == 0 ? 0.0 : sum / static_cast<double>(n);
+  }
+
+  /// Median over rounds of `ratio(r)`.
+  template <typename Ratio>
+  [[nodiscard]] double per_round(Ratio ratio) const {
+    std::vector<double> v;
+    for (u64 r = 0; r < rounds; ++r) v.push_back(ratio(r));
+    return median(std::move(v));
+  }
+
+  /// The arm's rate, normalized per round like the scores (see the top).
   [[nodiscard]] double rps(usize arm) const {
-    const double secs = arms[arm].seconds() * static_cast<double>(rounds);
-    return secs > 0.0 ? static_cast<double>(arms[arm].completed) / secs
-                      : 0.0;
+    const double base = per_round([&](u64 r) { return baseline_seconds(r); });
+    const double rel = per_round([&](u64 r) {
+      const double b = baseline_seconds(r);
+      return b > 0.0 ? arms[arm].bursts[r] / b : 0.0;
+    });
+    const double per_burst = static_cast<double>(arms[arm].completed) /
+                             static_cast<double>(rounds);
+    return base > 0.0 && rel > 0.0 ? per_burst / (base * rel) : 0.0;
   }
   [[nodiscard]] double value(const std::string& key) const {
     return lookup(values, key);
@@ -274,27 +309,18 @@ inline GateRun run_gate(const Gate& g, u64 requests, u64 rounds) {
   for (const ArmRun& a : run.arms) {
     if (a.arm->off) off.push_back(&a.bursts);
   }
-  const auto per_round = [&](auto ratio) {
-    std::vector<double> v;
-    for (u64 r = 0; r < rounds; ++r) v.push_back(ratio(r));
-    return median(std::move(v));
-  };
-  const auto off_seconds = [&](u64 r) {
-    double sum = 0.0;
-    for (const auto* b : off) sum += (*b)[r];
-    return sum / static_cast<double>(off.size());
-  };
   for (const Score& s : g.scores) {
     double v = 0.0;
     switch (s.kind) {
       case Score::Kind::OffGap:  // slower off arm below the faster one
-        v = pct_gap(1.0, per_round([&](u64 r) {
+        v = pct_gap(1.0, run.per_round([&](u64 r) {
                       return (*off.at(0))[r] / (*off.at(1))[r];
                     }));
         break;
       case Score::Kind::Overhead:  // arm's time over the off baseline's
-        v = 100.0 * (per_round([&](u64 r) {
-                       return run.arms[s.arm].bursts[r] / off_seconds(r);
+        v = 100.0 * (run.per_round([&](u64 r) {
+                       return run.arms[s.arm].bursts[r] /
+                              run.baseline_seconds(r);
                      }) -
                      1.0);
         break;

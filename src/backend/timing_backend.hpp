@@ -66,11 +66,12 @@ class VaultTimingBackend {
   virtual void reset() = 0;
 
   /// May (bank, access) issue at cycle `now`?  A bank inside its busy
-  /// window (`VaultState::bank_busy_until`) is Busy under every model, and
-  /// that answer, which is most of what the conflict scan gets, costs no
-  /// virtual call; a free bank is Ready unless the backend limits the
-  /// access class (class_gate()).  Defined in core/device.hpp, where
-  /// VaultState is complete.
+  /// window (`VaultState::bank_busy_until`) is Busy under every model, so
+  /// the vault stages read that answer for every bank at once
+  /// (`VaultState::busy_banks()`) and call gate() only for free banks; a
+  /// free bank is Ready unless the backend limits the access class
+  /// (class_gate()).  Defined in core/device.hpp, where VaultState is
+  /// complete.
   [[nodiscard]] BankGate gate(const VaultState& vault, u32 bank,
                               AccessClass access, Cycle now) const;
 

@@ -282,14 +282,16 @@ bool get_request_entry(std::istream& is, RequestEntry& e,
   return true;
 }
 
+template <typename Tags>
 void put_request_queue(std::ostream& os,
-                       const BoundedQueue<RequestEntry>& q) {
+                       const BoundedQueue<RequestEntry, Tags>& q) {
   put_u64(os, q.size());
   for (const RequestEntry& e : q) put_request_entry(os, e);
   put_queue_stats(os, q.stats());
 }
 
-bool get_request_queue(std::istream& is, BoundedQueue<RequestEntry>& q,
+template <typename Tags>
+bool get_request_queue(std::istream& is, BoundedQueue<RequestEntry, Tags>& q,
                        const CustomCommandSet& custom) {
   u64 count = 0;
   if (!get_u64(is, count) || count > q.capacity()) return false;

@@ -31,7 +31,8 @@ Device::Device(u32 cube_id, const DeviceConfig& config)
   vaults.reserve(config.num_vaults());
   for (u32 v = 0; v < config.num_vaults(); ++v) {
     VaultState vault;
-    vault.rqst = BoundedQueue<RequestEntry>(config.vault_depth);
+    vault.rqst = VaultRequestQueue(config.vault_depth,
+                                   BankTags(map_, config.vault_depth));
     vault.rsp = BoundedQueue<ResponseEntry>(config.vault_depth);
     vault.bank_busy_until.assign(config.banks_per_vault, 0);
     vault.open_row.assign(config.banks_per_vault, kNoOpenRow);

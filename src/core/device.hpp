@@ -17,6 +17,7 @@
 // of the original simulator, kept intact for traceability to the paper.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -126,9 +127,74 @@ struct LinkState {
 /// Sentinel for "no row open" in VaultState::open_row.
 inline constexpr u64 kNoOpenRow = ~u64{0};
 
+/// The vault request queue's per-position side data (see queue/queue.hpp):
+/// one tag byte per queued entry, in FIFO order, and the mask of banks
+/// that have at least one entry queued.  Stages 3 and 4 decide from these
+/// and load a 288-byte entry only when it can retire, be stamped or be
+/// traced.  A tag holds the entry's bank and two facts about the entry
+/// that only ever turn true while it is queued:
+///   kReady    its ready_cycle has been seen at or below the clock (set
+///             lazily by the stage that looked; the clock never runs back
+///             while an entry is queued, and a restore rebuilds the queue);
+///   kStamped  its life.first_conflict stamp is written (non-zero).
+class BankTags {
+ public:
+  static constexpr u8 kBank = 0x1f;
+  static constexpr u8 kReady = 0x40;
+  static constexpr u8 kStamped = 0x80;
+
+  BankTags() = default;
+  BankTags(const AddressMap& map, usize depth) : map_(&map) {
+    tags_.reserve(depth);
+  }
+
+  void push_back(const RequestEntry& e) {
+    tags_.push_back(tag_of(e));
+    count(tags_.back());
+  }
+  void push_front(const RequestEntry& e) {
+    tags_.insert(tags_.begin(), tag_of(e));
+    count(tags_.front());
+  }
+  void remove(usize i) {
+    const u32 bank = tags_[i] & kBank;
+    tags_.erase(tags_.begin() + static_cast<std::ptrdiff_t>(i));
+    if (--queued_[bank] == 0) pending_ &= ~(1u << bank);
+  }
+  void clear() {
+    tags_.clear();
+    queued_.fill(0);
+    pending_ = 0;
+  }
+
+  [[nodiscard]] usize size() const { return tags_.size(); }
+  [[nodiscard]] u8 operator[](usize i) const { return tags_[i]; }
+  /// Record kReady and/or kStamped for the entry at position `i`.
+  void mark(usize i, u8 flags) { tags_[i] |= flags; }
+  /// Banks with at least one queued entry.
+  [[nodiscard]] u32 pending() const { return pending_; }
+
+ private:
+  [[nodiscard]] u8 tag_of(const RequestEntry& e) const {
+    return static_cast<u8>(map_->bank_of(e.req.addr) |
+                           (e.life.first_conflict != 0 ? kStamped : 0));
+  }
+  void count(u8 tag) {
+    const u32 bank = tag & kBank;
+    if (queued_[bank]++ == 0) pending_ |= 1u << bank;
+  }
+
+  const AddressMap* map_{nullptr};
+  std::vector<u8> tags_;
+  std::array<u16, kBank + 1> queued_{};  ///< entries queued per bank
+  u32 pending_{0};
+};
+
+using VaultRequestQueue = BoundedQueue<RequestEntry, BankTags>;
+
 /// One vault: controller queues plus per-bank timing state.
 struct VaultState {
-  BoundedQueue<RequestEntry> rqst;
+  VaultRequestQueue rqst;
   BoundedQueue<ResponseEntry> rsp;
   /// busy_until[bank] is the first cycle the bank is free again.
   std::vector<Cycle> bank_busy_until;
@@ -144,6 +210,16 @@ struct VaultState {
   /// state; the shared arrays above remain the source of truth for bank
   /// occupancy.
   std::unique_ptr<VaultTimingBackend> timing;
+
+  /// Banks inside their busy window at `now`: exactly the banks gate()
+  /// answers Busy for, under every backend.
+  [[nodiscard]] u32 busy_banks(Cycle now) const {
+    u32 busy = 0;
+    for (usize b = 0; b < bank_busy_until.size(); ++b) {
+      busy |= u32{bank_busy_until[b] > now} << b;
+    }
+    return busy;
+  }
 };
 
 inline BankGate VaultTimingBackend::gate(const VaultState& vault, u32 bank,

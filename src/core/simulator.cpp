@@ -1,6 +1,7 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/link_layer.hpp"
 
@@ -306,7 +307,7 @@ Status Simulator::recv(u32 dev, u32 link, PacketBuffer& out) {
   // fingerprint, both frozen into the armed fast path.  (The no-response
   // path above stays armed — polling drivers must not disarm every step.)
   ff_invalidate();
-  ResponseEntry entry = queue.pop_front();
+  ResponseEntry entry = queue.take_front();
   out = entry.pkt;
   ++d.stats.recvs;
   trace(TraceEvent::PacketRecv, 0, dev, link, kNoCoord, kNoCoord, kNoCoord, 0,
@@ -897,7 +898,7 @@ bool Simulator::step_link_protocol(Device& dev, u32 link, u8 stage) {
         break;  // staging full; drain the remainder next cycle
       }
       LinkLayer::complete(dev, link, flits, frp);
-      (void)link_state.rqst.pop_front();
+      link_state.rqst.pop_front();
     }
     return false;
   }
@@ -1184,10 +1185,10 @@ void Simulator::process_xbar(Device& dev, u8 stage, XbarScratch& sc) {
           continue;
       }
 
-      RequestEntry moved = entry;
-      moved.ready_cycle = cycle_ + 1;
-      moved.life.vault_arrive = cycle_;
-      if (!dev.vaults[vault].rqst.push(std::move(moved))) {
+      // The entry moves into the vault queue only when it has room; a
+      // refused push leaves it here intact.
+      VaultRequestQueue& dest = dev.vaults[vault].rqst;
+      if (!dest.push(std::move(entry))) {
         ++dev.stats.xbar_rqst_stalls;
         trace(TraceEvent::XbarRqstStall, stage, dev.id(), link,
               dev.quad_of_vault(vault), vault, kNoCoord, entry.req.addr,
@@ -1198,46 +1199,66 @@ void Simulator::process_xbar(Device& dev, u8 stage, XbarScratch& sc) {
         ++i;
         continue;
       }
+      RequestEntry& moved = dest.back();
+      moved.ready_cycle = cycle_ + 1;
+      moved.life.vault_arrive = cycle_;
       if (remapped) ++dev.stats.vault_remaps;
       trace(TraceEvent::VaultArrival, stage, dev.id(), link,
-            dev.quad_of_vault(vault), vault, kNoCoord, entry.req.addr,
-            entry.req.tag, entry.req.cmd);
-      link_state.rqst_flits_forwarded += entry.pkt.flits;
-      link_state.rqst_budget -= entry.pkt.flits;
+            dev.quad_of_vault(vault), vault, kNoCoord, moved.req.addr,
+            moved.req.tag, moved.req.cmd);
+      link_state.rqst_flits_forwarded += moved.pkt.flits;
+      link_state.rqst_budget -= moved.pkt.flits;
       if (cfg.link_protocol) {
-        LinkLayer::complete(dev, link, entry.pkt.flits, entry.req.frp);
+        LinkLayer::complete(dev, link, moved.pkt.flits, moved.req.frp);
       }
       queue.remove(i);
     }
   }
 }
 
-void Simulator::scan_bank_conflicts(Device& dev, u32 vault_index) {
+void Simulator::scan_bank_conflicts(Device& dev, u32 vault_index,
+                                    u32 busy) {
+  VaultState& vault = dev.vaults[vault_index];
+  if (vault.rqst.empty()) return;
   const DeviceConfig& cfg = dev.config();
   const u32 window = cfg.conflict_window == 0
                          ? static_cast<u32>(cfg.vault_depth)
                          : cfg.conflict_window;
-  VaultState& vault = dev.vaults[vault_index];
-  if (vault.rqst.empty()) return;
-  u32 seen_banks = 0;
   const usize limit = std::min<usize>(window, vault.rqst.size());
+  BankTags& tags = vault.rqst.tags();
+  const bool traced = tracer_.enabled(TraceEvent::BankConflict);
+  // A ready entry conflicts when its bank is busy or an earlier ready
+  // entry in the window already holds it.  The non-conflicting ones are
+  // therefore exactly the first ready entry of each free bank seen, so the
+  // count is closed-form; an entry is loaded only to write its one
+  // first_conflict stamp, or to trace.
+  u32 seen = 0;
+  u64 ready = 0;
   for (usize i = 0; i < limit; ++i) {
-    RequestEntry& entry = vault.rqst.at(i);
-    if (entry.ready_cycle > cycle_) continue;
-    const u32 bank = dev.address_map().bank_of(entry.req.addr);
-    const bool busy = vault.bank_busy_until[bank] > cycle_;
-    const bool duplicated = (seen_banks & (1u << bank)) != 0;
-    seen_banks |= 1u << bank;
-    if (busy || duplicated) {
+    u8 tag = tags[i];
+    if ((tag & BankTags::kReady) == 0) {
+      if (vault.rqst.at(i).ready_cycle > cycle_) continue;
+      tag |= BankTags::kReady;
+    }
+    const u32 bit = 1u << (tag & BankTags::kBank);
+    const bool conflict = ((busy | seen) & bit) != 0;
+    seen |= bit;
+    ++ready;
+    if (conflict && (traced || (tag & BankTags::kStamped) == 0)) {
+      RequestEntry& entry = vault.rqst.at(i);
       if (entry.life.first_conflict == 0) {
         entry.life.first_conflict = cycle_;
       }
-      ++dev.stats.bank_conflicts;
+      if (entry.life.first_conflict != 0) tag |= BankTags::kStamped;
       trace(TraceEvent::BankConflict, 3, dev.id(), kNoCoord,
-            dev.quad_of_vault(vault_index), vault_index, bank,
-            entry.req.addr, entry.req.tag, entry.req.cmd);
+            dev.quad_of_vault(vault_index), vault_index,
+            tag & BankTags::kBank, entry.req.addr, entry.req.tag,
+            entry.req.cmd);
     }
+    tags.mark(i, tag);
   }
+  dev.stats.bank_conflicts +=
+      ready - static_cast<u64>(std::popcount(seen & ~busy));
 }
 
 void Simulator::stage3_and_4_vaults() {
@@ -1261,8 +1282,12 @@ void Simulator::stage3_and_4_vaults() {
       // included); stage 4 then retires the same vault.  All state both
       // touch is per-vault, so fusing them leaves the same state as running
       // stage 3 over every vault first (trace records come out per vault).
-      scan_bank_conflicts(dev, v);
-      if ((failed_snapshot_[d] >> v & 1) == 0) process_vault(dev, v);
+      // Both stages decide from this one busy mask (taken before stage
+      // 4's refresh check, which recomputes it when it fires).
+      const VaultState& vault = dev.vaults[v];
+      const u32 busy = vault.rqst.empty() ? 0 : vault.busy_banks(cycle_);
+      scan_bank_conflicts(dev, v, busy);
+      if ((failed_snapshot_[d] >> v & 1) == 0) process_vault(dev, v, busy);
       if (time_vaults) {
         profiler_->add_vault(d, v, StageProfiler::now_ns() - t0);
       }
@@ -1279,7 +1304,7 @@ void Simulator::stage3_and_4_vaults() {
   }
 }
 
-void Simulator::process_vault(Device& dev, u32 vault_index) {
+void Simulator::process_vault(Device& dev, u32 vault_index, u32 busy) {
   const DeviceConfig& cfg = dev.config();
   VaultState& vault = dev.vaults[vault_index];
 
@@ -1292,47 +1317,60 @@ void Simulator::process_vault(Device& dev, u32 vault_index) {
     if ((cycle_ + offset) % cfg.refresh_interval_cycles == 0) {
       vault.timing->refresh(vault, cycle_, cfg.refresh_busy_cycles);
       ++dev.stats.refreshes;
+      busy = vault.busy_banks(cycle_);
     }
   }
 
-  if (vault.rqst.empty()) return;
-
+  // Live banks: queued for, not busy, and not yet used or blocked this
+  // cycle.  An entry whose bank is not live can neither retire nor be
+  // counted, so the walk skips it from its tag and ends when no live bank
+  // is left.  A bank leaves the set when it serves a request, or when an
+  // earlier still-queued entry holds it: not ready yet, refused by the
+  // backend, stalled on a full response queue, or failed to retire.
+  BankTags& tags = vault.rqst.tags();
+  u32 live = tags.pending() & ~busy;
   const bool strict = cfg.vault_schedule == VaultSchedule::StrictFifo;
   u32 retired = 0;
-  u32 used_banks = 0;     // banks that already served a request this cycle
-  u32 blocked_banks = 0;  // banks with an earlier, still-queued request
   bool rsp_stalled_logged = false;
 
   usize i = 0;
-  while (i < vault.rqst.size()) {
+  while (live != 0 && i < vault.rqst.size()) {
     if (cfg.vault_drain_limit != 0 && retired >= cfg.vault_drain_limit) break;
-    RequestEntry& entry = vault.rqst.at(i);
-    if (entry.ready_cycle > cycle_) {
+    const u8 tag = tags[i];
+    const u32 bank = tag & BankTags::kBank;
+    const u32 bit = 1u << bank;
+    if ((live & bit) == 0) {
       if (strict) break;  // strict FIFO: nothing may pass the head
-      // Not yet visible to this stage; it still holds its bank's order slot.
-      blocked_banks |= 1u << dev.address_map().bank_of(entry.req.addr);
       ++i;
       continue;
     }
-    const u32 bank = dev.address_map().bank_of(entry.req.addr);
-    const u32 bit = 1u << bank;
-    // Ordering gates (blocked/used) are the engine's; bank readiness is
-    // the timing backend's.  Atomics and custom commands run at the vault
-    // as read-modify-writes.
+    RequestEntry& entry = vault.rqst.at(i);
+    if ((tag & BankTags::kReady) == 0) {
+      if (entry.ready_cycle > cycle_) {
+        if (strict) break;
+        // Not yet visible to this stage; it still holds its bank's order
+        // slot.
+        live &= ~bit;
+        ++i;
+        continue;
+      }
+      tags.mark(i, BankTags::kReady);
+    }
+    // Ordering (live) is the engine's; a free bank's readiness for this
+    // access class is the timing backend's.  Atomics and custom commands
+    // run at the vault as read-modify-writes.
     const AccessClass access =
         entry.custom != nullptr || is_atomic(entry.req.cmd)
             ? AccessClass::Rmw
             : (is_write(entry.req.cmd) ? AccessClass::Write
                                        : AccessClass::Read);
-    const BankGate gate = (blocked_banks & bit) || (used_banks & bit)
-                              ? BankGate::Busy
-                              : vault.timing->gate(vault, bank, access, cycle_);
+    const BankGate gate = vault.timing->gate(vault, bank, access, cycle_);
     if (gate != BankGate::Ready) {
       if (gate == BankGate::Throttled) {
         ++dev.stats.pcm_write_throttle_stalls;
       }
       if (strict) break;
-      blocked_banks |= bit;
+      live &= ~bit;
       ++i;
       continue;
     }
@@ -1352,17 +1390,16 @@ void Simulator::process_vault(Device& dev, u32 vault_index) {
         rsp_stalled_logged = true;
       }
       if (strict) break;
-      blocked_banks |= bit;
+      live &= ~bit;
       ++i;
       continue;
     }
+    live &= ~bit;  // served, or held by this entry for the rest of the cycle
     if (!retire_request(dev, vault_index, entry)) {
       if (strict) break;
-      blocked_banks |= bit;
       ++i;
       continue;
     }
-    used_banks |= bit;
     vault.timing->issue(vault, bank, dev.address_map().row_of(entry.req.addr),
                         access, cycle_, dev.stats);
     vault.rqst.remove(i);
@@ -1666,26 +1703,29 @@ void Simulator::drain_response_queue(Device& dev,
       ++dev.stats.misroutes;
       trace(TraceEvent::Misroute, 5, dev.id(), kNoCoord, kNoCoord,
             vault_for_trace, kNoCoord, 0, head.tag, head.cmd);
-      (void)queue.pop_front();
+      queue.pop_front();
       continue;
     }
-    ResponseEntry moved = head;
+    // Moved only when the link queue has room; a refused push leaves the
+    // head intact.
+    BoundedQueue<ResponseEntry>& dest = dev.links[exit].rsp;
+    if (!dest.push(std::move(head))) {
+      ++dev.stats.xbar_rsp_stalls;
+      trace(TraceEvent::XbarRspStall, 5, dev.id(), exit, kNoCoord,
+            vault_for_trace, kNoCoord, 0, head.tag, head.cmd);
+      break;  // FIFO: later responses must not pass
+    }
+    ResponseEntry& moved = dest.back();
     moved.ready_cycle = cycle_ + 1;
     // The first crossbar registration (at the device that owns the vault)
     // closes the lifecycle Response segment; later hops keep the stamp.
     if (moved.life.retire != 0 && moved.life.rsp_register == 0) {
       moved.life.rsp_register = cycle_;
     }
-    if (!dev.links[exit].rsp.push(std::move(moved))) {
-      ++dev.stats.xbar_rsp_stalls;
-      trace(TraceEvent::XbarRspStall, 5, dev.id(), exit, kNoCoord,
-            vault_for_trace, kNoCoord, 0, head.tag, head.cmd);
-      break;  // FIFO: later responses must not pass
-    }
     trace(TraceEvent::ResponseRegistered, 5, dev.id(), exit, kNoCoord,
-          vault_for_trace, kNoCoord, 0, head.tag, head.cmd);
-    dev.links[exit].rsp_flits_forwarded += head.pkt.flits;
-    (void)queue.pop_front();
+          vault_for_trace, kNoCoord, 0, moved.tag, moved.cmd);
+    dev.links[exit].rsp_flits_forwarded += moved.pkt.flits;
+    queue.pop_front();
   }
 }
 
@@ -1705,22 +1745,23 @@ void Simulator::transfer_link_responses(Device& dev) {
       const u32 peer_exit = response_exit_link(peer, head);
       if (peer_exit == kNoCoord) {
         ++dev.stats.misroutes;
-        (void)queue.pop_front();
+        queue.pop_front();
         continue;
       }
-      ResponseEntry moved = head;
-      moved.ready_cycle = cycle_ + 1;
-      if (!peer.links[peer_exit].rsp.push(std::move(moved))) {
+      BoundedQueue<ResponseEntry>& dest = peer.links[peer_exit].rsp;
+      if (!dest.push(std::move(head))) {
         ++dev.stats.xbar_rsp_stalls;
         trace(TraceEvent::XbarRspStall, 5, dev.id(), link, kNoCoord, kNoCoord,
               kNoCoord, 0, head.tag, head.cmd);
         break;
       }
-      link_state.rsp_flits_forwarded += head.pkt.flits;
-      link_state.rsp_budget -= head.pkt.flits;
+      ResponseEntry& moved = dest.back();
+      moved.ready_cycle = cycle_ + 1;
+      link_state.rsp_flits_forwarded += moved.pkt.flits;
+      link_state.rsp_budget -= moved.pkt.flits;
       trace(TraceEvent::RouteHop, 5, dev.id(), link, kNoCoord, kNoCoord,
-            kNoCoord, 0, head.tag, head.cmd);
-      (void)queue.pop_front();
+            kNoCoord, 0, moved.tag, moved.cmd);
+      queue.pop_front();
     }
   }
 }

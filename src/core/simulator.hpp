@@ -318,10 +318,12 @@ class Simulator {
   /// Shared crossbar logic for stages 1 and 2.
   void process_xbar(Device& dev, u8 stage, XbarScratch& sc);
 
-  /// Stage 3 for one vault: scan the request queue's conflict window.
-  void scan_bank_conflicts(Device& dev, u32 vault_index);
-  /// Stage 4 helpers.
-  void process_vault(Device& dev, u32 vault_index);
+  /// Stage 3 for one vault: count and stamp the bank conflicts in the
+  /// request queue's conflict window, given the vault's busy banks.
+  void scan_bank_conflicts(Device& dev, u32 vault_index, u32 busy);
+  /// Stage 4 for one vault: refresh, then retire requests whose banks are
+  /// free (`busy` as stage 3 saw it).
+  void process_vault(Device& dev, u32 vault_index, u32 busy);
   /// Drain a failed vault's queued requests as VAULT_FAILED errors.
   void drain_failed_vault(Device& dev, u32 vault_index);
   /// Retire one request at a bank: perform the memory/register operation

@@ -20,6 +20,12 @@
 // depth 128 and a request entry is ~300 bytes.  A free slot is reused
 // last-in first-out; which slot an entry occupies never affects the FIFO
 // order, so it cannot affect simulation results.
+//
+// A queue may also keep compact side data per FIFO position (the `Tags`
+// parameter), updated by the queue itself on every push and removal so no
+// caller can forget it: the vault request queues keep each entry's bank
+// there (core/device.hpp, BankTags), so the vault stages decide without
+// loading entries.  The default, NoTags, keeps nothing and costs nothing.
 #pragma once
 
 #include <algorithm>
@@ -41,7 +47,17 @@ struct QueueStats {
   usize high_water{0};   ///< maximum simultaneous occupancy observed
 };
 
-template <typename Entry>
+/// Per-position side data that keeps none (see the file comment).
+struct NoTags {
+  template <typename Entry>
+  void push_back(const Entry& /*e*/) {}
+  template <typename Entry>
+  void push_front(const Entry& /*e*/) {}
+  void remove(usize /*i*/) {}
+  void clear() {}
+};
+
+template <typename Entry, typename Tags = NoTags>
 class BoundedQueue {
   /// FIFO-order iterator over the valid slots (oldest first); enough for
   /// range-for.
@@ -70,7 +86,8 @@ class BoundedQueue {
   using const_iterator = Iter<true>;
 
   BoundedQueue() = default;
-  explicit BoundedQueue(usize capacity) : capacity_(capacity) {
+  explicit BoundedQueue(usize capacity, Tags tags = {})
+      : capacity_(capacity), tags_(std::move(tags)) {
     slots_.reserve(capacity);
     free_.reserve(capacity);
     order_.reserve(capacity);
@@ -86,18 +103,11 @@ class BoundedQueue {
   }
 
   /// Append at the FIFO back.  Returns false (and counts a rejection) when
-  /// every slot is valid — the caller turns this into a stall signal.
-  bool push(Entry e) {
-    if (full()) {
-      ++stats_.rejected_full;
-      return false;
-    }
-    order_.push_back(take_slot(std::move(e)));
-    if (tally_ != nullptr) ++*tally_;
-    ++stats_.total_pushes;
-    stats_.high_water = std::max(stats_.high_water, order_.size());
-    return true;
-  }
+  /// every slot is valid — the caller turns this into a stall signal.  The
+  /// entry is copied or moved only when it is taken, so a refused rvalue
+  /// is left intact.
+  bool push(const Entry& e) { return push_back_slot(e); }
+  bool push(Entry&& e) { return push_back_slot(std::move(e)); }
 
   /// Reinstate an entry at the FIFO head, bypassing the capacity check.
   /// Used only to bounce an optimistically removed entry back (the
@@ -106,7 +116,9 @@ class BoundedQueue {
   /// until the entry moves on, during which free_slots() saturates at zero
   /// and the slab grows by a slot if none is free.
   void push_front(Entry e) {
-    order_.insert(order_.begin(), take_slot(std::move(e)));
+    const u32 slot = take_slot(std::move(e));
+    order_.insert(order_.begin(), slot);
+    tags_.push_front(slots_[slot]);
     if (tally_ != nullptr) ++*tally_;
     stats_.high_water = std::max(stats_.high_water, order_.size());
   }
@@ -122,22 +134,32 @@ class BoundedQueue {
   }
 
   [[nodiscard]] Entry& front() { return at(0); }
+  [[nodiscard]] Entry& back() {
+    assert(!order_.empty());
+    return slots_[order_.back()];
+  }
 
   /// Remove the entry at FIFO position `i` (0 == head).  Preserves the
   /// relative order of everything else, which is what keeps the
   /// link-to-bank stream ordering intact when non-head entries retire.
-  Entry remove(usize i) {
+  /// The entry itself is not touched: its slot is simply freed.
+  void remove(usize i) {
     assert(i < order_.size());
-    const u32 slot = order_[i];
-    Entry e = std::move(slots_[slot]);
+    free_.push_back(order_[i]);
     order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(i));
-    free_.push_back(slot);
+    tags_.remove(i);
     if (tally_ != nullptr) --*tally_;
     ++stats_.total_pops;
-    return e;
   }
 
-  Entry pop_front() { return remove(0); }
+  void pop_front() { remove(0); }
+
+  /// Remove the head and hand it to the caller.
+  Entry take_front() {
+    Entry e = std::move(front());
+    pop_front();
+    return e;
+  }
 
   void clear() {
     // Valid slots become free; their (stale) contents are overwritten on
@@ -145,7 +167,12 @@ class BoundedQueue {
     free_.insert(free_.end(), order_.begin(), order_.end());
     if (tally_ != nullptr) *tally_ -= order_.size();
     order_.clear();
+    tags_.clear();
   }
+
+  /// The per-position side data (see the file comment).
+  [[nodiscard]] Tags& tags() { return tags_; }
+  [[nodiscard]] const Tags& tags() const { return tags_; }
 
   /// Keep `*tally` up to date with this queue's occupancy from now on:
   /// every push adds one, every removal subtracts.  Several queues sharing
@@ -175,16 +202,32 @@ class BoundedQueue {
   }
 
  private:
+  template <typename E>
+  bool push_back_slot(E&& e) {
+    if (full()) {
+      ++stats_.rejected_full;
+      return false;
+    }
+    const u32 slot = take_slot(std::forward<E>(e));
+    order_.push_back(slot);
+    tags_.push_back(slots_[slot]);
+    if (tally_ != nullptr) ++*tally_;
+    ++stats_.total_pushes;
+    stats_.high_water = std::max(stats_.high_water, order_.size());
+    return true;
+  }
+
   /// Store `e` in a free slot (growing the slab only past the reserved
   /// depth, i.e. on a push_front overfill) and return the slot's index.
-  u32 take_slot(Entry&& e) {
+  template <typename E>
+  u32 take_slot(E&& e) {
     if (free_.empty()) {
-      slots_.push_back(std::move(e));
+      slots_.push_back(std::forward<E>(e));
       return static_cast<u32>(slots_.size() - 1);
     }
     const u32 slot = free_.back();
     free_.pop_back();
-    slots_[slot] = std::move(e);
+    slots_[slot] = std::forward<E>(e);
     return slot;
   }
 
@@ -193,6 +236,7 @@ class BoundedQueue {
   std::vector<u32> free_;     ///< slots not holding a queued entry
   std::vector<u32> order_;    ///< FIFO order of the valid slots
   usize* tally_{nullptr};     ///< see tally_into()
+  [[no_unique_address]] Tags tags_;
   QueueStats stats_;
 };
 

@@ -111,7 +111,9 @@ void put_lifecycle(std::ostream& os, const PacketLifecycle& lc) {
   put_u8(os, static_cast<u8>(lc.cmd));
 }
 
-void put_request_queue(std::ostream& os, const BoundedQueue<RequestEntry>& q) {
+template <typename Tags>
+void put_request_queue(std::ostream& os,
+                       const BoundedQueue<RequestEntry, Tags>& q) {
   put_u64(os, q.size());
   for (const RequestEntry& e : q) {
     put_packet(os, e.pkt);

@@ -24,7 +24,7 @@ TEST(BoundedQueue, StartsEmpty) {
 TEST(BoundedQueue, FifoOrder) {
   BoundedQueue<int> q(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.pop_front(), i);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.take_front(), i);
   EXPECT_TRUE(q.empty());
 }
 
@@ -43,18 +43,20 @@ TEST(BoundedQueue, RejectsWhenFull) {
 TEST(BoundedQueue, MiddleRemovalPreservesRelativeOrder) {
   BoundedQueue<int> q(8);
   for (int i = 0; i < 6; ++i) EXPECT_TRUE(q.push(i));
-  EXPECT_EQ(q.remove(2), 2);  // remove a middle entry
-  EXPECT_EQ(q.remove(3), 4);  // indices shifted after removal
-  EXPECT_EQ(q.pop_front(), 0);
-  EXPECT_EQ(q.pop_front(), 1);
-  EXPECT_EQ(q.pop_front(), 3);
-  EXPECT_EQ(q.pop_front(), 5);
+  EXPECT_EQ(q.at(2), 2);
+  q.remove(2);  // remove a middle entry
+  EXPECT_EQ(q.at(3), 4);  // indices shifted after removal
+  q.remove(3);
+  EXPECT_EQ(q.take_front(), 0);
+  EXPECT_EQ(q.take_front(), 1);
+  EXPECT_EQ(q.take_front(), 3);
+  EXPECT_EQ(q.take_front(), 5);
 }
 
 TEST(BoundedQueue, StatsTrackPushesPopsHighWater) {
   BoundedQueue<int> q(4);
   for (int i = 0; i < 3; ++i) (void)q.push(i);
-  (void)q.pop_front();
+  q.pop_front();
   (void)q.push(3);
   (void)q.push(4);
   const QueueStats& s = q.stats();
@@ -88,7 +90,7 @@ TEST(BoundedQueue, CapacityOneBehavesAsRegister) {
   EXPECT_TRUE(q.push("a"));
   EXPECT_TRUE(q.full());
   EXPECT_FALSE(q.push("b"));
-  EXPECT_EQ(q.pop_front(), "a");
+  EXPECT_EQ(q.take_front(), "a");
   EXPECT_TRUE(q.push("b"));
 }
 
@@ -102,8 +104,56 @@ TEST(BoundedQueue, IterationIsOldestFirst) {
 TEST(BoundedQueue, MoveOnlyEntries) {
   BoundedQueue<std::unique_ptr<int>> q(2);
   EXPECT_TRUE(q.push(std::make_unique<int>(7)));
-  auto p = q.pop_front();
+  auto p = q.take_front();
   EXPECT_EQ(*p, 7);
+}
+
+TEST(BoundedQueue, RefusedPushLeavesTheEntryIntact) {
+  // An entry is moved only when the queue takes it, so a caller may offer
+  // an entry it still owns and keep it on a refusal.
+  BoundedQueue<std::unique_ptr<int>> q(1);
+  EXPECT_TRUE(q.push(std::make_unique<int>(1)));
+  auto offered = std::make_unique<int>(2);
+  EXPECT_FALSE(q.push(std::move(offered)));
+  ASSERT_NE(offered, nullptr);
+  EXPECT_EQ(*offered, 2);
+  q.pop_front();
+  EXPECT_TRUE(q.push(std::move(offered)));
+  EXPECT_EQ(offered, nullptr);
+  EXPECT_EQ(*q.back(), 2);
+}
+
+/// Tags that mirror the FIFO order of the queued values, so the test can
+/// check that the queue calls every hook at the right position.
+struct MirrorTags {
+  std::vector<int> order;
+  void push_back(int v) { order.push_back(v); }
+  void push_front(int v) { order.insert(order.begin(), v); }
+  void remove(usize i) {
+    order.erase(order.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+  void clear() { order.clear(); }
+};
+
+TEST(BoundedQueue, TagsFollowTheFifoOrder) {
+  BoundedQueue<int, MirrorTags> q(4);
+  const auto same = [&] {
+    std::vector<int> fifo;
+    for (const int v : q) fifo.push_back(v);
+    return fifo == q.tags().order;
+  };
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.push(i));
+  EXPECT_FALSE(q.push(9));  // refused: no tag either
+  EXPECT_TRUE(same());
+  q.remove(1);
+  q.pop_front();
+  EXPECT_TRUE(same());
+  q.push_front(7);
+  EXPECT_TRUE(q.push(8));
+  q.push_front(6);  // overfill
+  EXPECT_TRUE(same());
+  q.clear();
+  EXPECT_TRUE(q.tags().order.empty());
 }
 
 TEST(BoundedQueue, RandomizedAgainstReferenceModel) {
@@ -139,14 +189,15 @@ TEST(BoundedQueue, RandomizedAgainstReferenceModel) {
       }
     } else if (op < 70) {
       if (!model.empty()) {
-        ASSERT_EQ(*q.pop_front(), model.front());
+        ASSERT_EQ(*q.take_front(), model.front());
         model.erase(model.begin());
         ++stats.total_pops;
       }
     } else if (op < 99) {
       if (!model.empty()) {
         const usize i = rng.next_below(model.size());
-        ASSERT_EQ(*q.remove(i), model[i]);
+        ASSERT_EQ(*q.at(i), model[i]);
+        q.remove(i);
         model.erase(model.begin() + static_cast<std::ptrdiff_t>(i));
         ++stats.total_pops;
       }
